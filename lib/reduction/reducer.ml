@@ -5,6 +5,10 @@ module Mutator = Dgr_core.Mutator
 
 type reduction_task_vec = Task.reduction Dgr_util.Vec.t
 
+(* The stuck set: the first reason reported for each stuck vertex,
+   indexed by vid ([""] = not stuck), so membership is one array read. *)
+type stuck_set = { mutable why : string array; mutable count : int }
+
 let src = Logs.Src.create "dgr.reducer" ~doc:"distributed graph reduction"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -26,15 +30,17 @@ type t = {
   mutable rewrites : int;
   mutable stale_dropped : int;
   mutable alloc_stalls : int;
-  mutable stuck : (Vid.t * string) list;
+  stuck : stuck_set;
+  owns_stuck : bool;
+  fresh_stuck : (Vid.t * string) Dgr_util.Vec.t;
   mutable rq_scratch : int array;
       (* reusable snapshot of one vertex's raw request rows (stride 3:
          who|-1, demand code, key) — lets the rewrite hot paths walk
          [requested] without building the entry list *)
 }
 
-let create ?(speculate_if = true) ?(speculation_reserve = 0) ?recorder ~graph ~mut
-    ~templates ~send () =
+let create ?(speculate_if = true) ?(speculation_reserve = 0) ?recorder ?stuck_of ~graph
+    ~mut ~templates ~send () =
   {
     graph;
     mut;
@@ -52,7 +58,12 @@ let create ?(speculate_if = true) ?(speculation_reserve = 0) ?recorder ~graph ~m
     rewrites = 0;
     stale_dropped = 0;
     alloc_stalls = 0;
-    stuck = [];
+    stuck =
+      (match stuck_of with
+      | Some owner -> owner.stuck
+      | None -> { why = [||]; count = 0 });
+    owns_stuck = stuck_of = None;
+    fresh_stuck = Dgr_util.Vec.create ();
     rq_scratch = Array.make 24 0;
   }
 
@@ -67,10 +78,52 @@ let finished t = t.result <> None
 
 let stale t = t.stale_dropped <- t.stale_dropped + 1
 
+let in_set s v = v < Array.length s.why && s.why.(v) <> ""
+
+(* The index grows to at least the graph's vertex count at once, so a
+   run that gets thousands of vertices stuck reallocates it rarely. *)
+let set_add t v reason =
+  let s = t.stuck in
+  if v >= Array.length s.why then begin
+    let n = Int.max (Graph.vertex_count t.graph) (2 * Array.length s.why) in
+    let why = Array.make (Int.max (v + 1) n) "" in
+    Array.blit s.why 0 why 0 (Array.length s.why);
+    s.why <- why
+  end;
+  s.why.(v) <- reason;
+  s.count <- s.count + 1
+
+(* [v] was already reported: merged at an earlier barrier, or reported
+   by this reducer since the last one. A per-PE reducer only reads the
+   shared set, which changes at the barrier alone. *)
+let rec in_fresh fresh v i =
+  i < Dgr_util.Vec.length fresh
+  && (Vid.equal (fst (Dgr_util.Vec.get fresh i)) v || in_fresh fresh v (i + 1))
+
+let reported t v = in_set t.stuck v || in_fresh t.fresh_stuck v 0
+
+(* Callers that build their reason string test [reported] first, so a
+   repeated report costs neither the string nor the merge. *)
 let mark_stuck t v reason =
-  if not (List.mem_assoc v t.stuck) then begin
-    t.stuck <- (v, reason) :: t.stuck;
+  if not (reported t v) then begin
+    if t.owns_stuck then set_add t v reason
+    else Dgr_util.Vec.push t.fresh_stuck (v, reason);
     Log.warn (fun m -> m "v%d stuck: %s (behaves as ⊥)" v reason)
+  end
+
+let stuck_count t = t.stuck.count
+
+let stuck t =
+  let acc = ref [] in
+  for v = Array.length t.stuck.why - 1 downto 0 do
+    if t.stuck.why.(v) <> "" then acc := (v, t.stuck.why.(v)) :: !acc
+  done;
+  !acc
+
+let forget_stuck t v =
+  if in_set t.stuck v then begin
+    t.stuck.why.(v) <- "";
+    t.stuck.count <- t.stuck.count - 1
   end
 
 let distinct vids =
@@ -192,11 +245,14 @@ let truthy = function
 
 (* --- primitive evaluation ------------------------------------------- *)
 
+(* Built only when a type error actually occurs: most evaluations
+   succeed, and the message is a sprintf. *)
+let type_error p = Error (Printf.sprintf "type error in %s" (Label.prim_name p))
+
 let eval_scalar p values =
   let int_of = function Label.V_int n -> Some n | _ -> None in
   let bool_of = function Label.V_bool b -> Some b | _ -> None in
   let module L = Label in
-  let err = Error (Printf.sprintf "type error in %s" (L.prim_name p)) in
   (* ⊥-recovery values are contagious through strict operators
      (footnote 5): the requester learns its input was undefined. *)
   let first_err =
@@ -217,19 +273,19 @@ let eval_scalar p values =
       | L.Div -> if y = 0 then Error "division by zero" else Ok (L.Int (x / y))
       | L.Mod -> if y = 0 then Error "modulo by zero" else Ok (L.Int (x mod y))
       | _ -> assert false)
-    | _ -> err)
+    | _ -> type_error p)
   | L.Lt, [ a; b ] | L.Leq, [ a; b ] -> (
     match (int_of a, int_of b) with
     | Some x, Some y -> Ok (L.Bool (if p = L.Lt then x < y else x <= y))
-    | _ -> err)
+    | _ -> type_error p)
   | L.Eq, [ a; b ] -> Ok (L.Bool (L.equal_value a b))
   | L.And, [ a; b ] | L.Or, [ a; b ] -> (
     match (bool_of a, bool_of b) with
     | Some x, Some y -> Ok (L.Bool (if p = L.And then x && y else x || y))
-    | _ -> err)
+    | _ -> type_error p)
   | L.Not, [ a ] -> (
-    match bool_of a with Some x -> Ok (L.Bool (not x)) | None -> err)
-  | L.Neg, [ a ] -> ( match int_of a with Some x -> Ok (L.Int (-x)) | None -> err)
+    match bool_of a with Some x -> Ok (L.Bool (not x)) | None -> type_error p)
+  | L.Neg, [ a ] -> ( match int_of a with Some x -> Ok (L.Int (-x)) | None -> type_error p)
   | L.Is_nil, [ a ] -> Ok (L.Bool (a = L.V_nil))
   | (L.Head | L.Tail), _ -> assert false (* handled structurally *)
   | _, _ -> Error (Printf.sprintf "arity error in %s" (L.prim_name p))
@@ -266,10 +322,12 @@ let rec exec_request t ~src:s ~dst:v ~demand ~key =
       let was_vital = has_vital_requester vx in
       Mutator.record_request t.mut ~at:v ~requester:s ~demand ~key;
       if first then begin
-        if Vertex.arg_count vx <> Label.prim_arity p then
-          mark_stuck t v
-            (Printf.sprintf "%s applied to %d args (arity %d)" (Label.prim_name p)
-               (Vertex.arg_count vx) (Label.prim_arity p))
+        if Vertex.arg_count vx <> Label.prim_arity p then begin
+          if not (reported t v) then
+            mark_stuck t v
+              (Printf.sprintf "%s applied to %d args (arity %d)" (Label.prim_name p)
+                 (Vertex.arg_count vx) (Label.prim_arity p))
+        end
         else demand_own_args t v vx ~ctx:demand
       end
       else if Demand.equal demand Demand.Vital && not was_vital then
@@ -310,12 +368,15 @@ let rec exec_request t ~src:s ~dst:v ~demand ~key =
     | Label.Apply f -> (
       Mutator.record_request t.mut ~at:v ~requester:s ~demand ~key;
       match Template.find t.templates f with
-      | None -> mark_stuck t v (Printf.sprintf "unknown function %s" f)
+      | None ->
+        if not (reported t v) then mark_stuck t v (Printf.sprintf "unknown function %s" f)
       | Some tpl ->
-        if Vertex.arg_count vx <> tpl.Template.arity then
-          mark_stuck t v
-            (Printf.sprintf "%s applied to %d args (arity %d)" f (Vertex.arg_count vx)
-               tpl.Template.arity)
+        if Vertex.arg_count vx <> tpl.Template.arity then begin
+          if not (reported t v) then
+            mark_stuck t v
+              (Printf.sprintf "%s applied to %d args (arity %d)" f (Vertex.arg_count vx)
+                 tpl.Template.arity)
+        end
         else if
           (* V is finite (§2.2): expansion draws vertices from F, and
              eager work is "resources permitting" (§3.2) — a non-vital
@@ -391,8 +452,9 @@ and try_reduce_prim t v p =
     | Label.Head | Label.Tail -> (
       match List.map (fun c -> Option.get (Vertex.value_from vx c)) (Vertex.args vx) with
       | [ Label.V_ref cell ] -> reduce_projection t v p cell
-      | [ _ ] -> mark_stuck t v (Label.prim_name p ^ " of a non-list value")
-      | _ -> mark_stuck t v (Label.prim_name p ^ " arity error"))
+      | [ _ ] ->
+        if not (reported t v) then mark_stuck t v (Label.prim_name p ^ " of a non-list value")
+      | _ -> if not (reported t v) then mark_stuck t v (Label.prim_name p ^ " arity error"))
     | _ -> (
       let values = List.map (fun c -> Option.get (Vertex.value_from vx c)) (Vertex.args vx) in
       match eval_scalar p values with
@@ -418,7 +480,7 @@ and reduce_projection t v p cell =
     List.iter (fun c -> Mutator.delete_reference t.mut ~a:v ~b:c) olds;
     become_indirection t v target
   | Label.Cons, _ -> mark_stuck t v "malformed cons cell"
-  | _ -> mark_stuck t v (Label.prim_name p ^ " of a non-cons vertex")
+  | _ -> if not (reported t v) then mark_stuck t v (Label.prim_name p ^ " of a non-cons vertex")
 
 and progress_if t v ~key ~value =
   let vx = Graph.vertex t.graph v in
@@ -526,11 +588,10 @@ let absorb_dirty t src =
   src.result <- None;
   Dgr_util.Vec.iter (fun task -> Dgr_util.Vec.push t.parked task) src.parked;
   Dgr_util.Vec.clear src.parked;
-  List.iter
-    (fun (v, reason) ->
-      if not (List.mem_assoc v t.stuck) then t.stuck <- (v, reason) :: t.stuck)
-    (List.rev src.stuck);
-  src.stuck <- []
+  Dgr_util.Vec.iter
+    (fun (v, reason) -> if not (in_set t.stuck v) then set_add t v reason)
+    src.fresh_stuck;
+  Dgr_util.Vec.clear src.fresh_stuck
 
 let absorb t src =
   if
@@ -538,5 +599,5 @@ let absorb t src =
     + src.expansions + src.rewrites + src.stale_dropped + src.alloc_stalls <> 0
     || src.result <> None
     || not (Dgr_util.Vec.is_empty src.parked)
-    || src.stuck <> []
+    || not (Dgr_util.Vec.is_empty src.fresh_stuck)
   then absorb_dirty t src

@@ -28,6 +28,11 @@ open Dgr_task
     All mutations go through the {!Dgr_core.Mutator} cooperation layer so
     reduction can run concurrently with marking. *)
 
+type stuck_set
+(** The vertices whose reduction hit a runtime error and now behave as
+    ⊥, keyed by vid with the first reason reported for each: membership
+    is one array read, so a repeated report costs O(1). *)
+
 type t = {
   graph : Graph.t;
   mut : Dgr_core.Mutator.t;
@@ -50,7 +55,14 @@ type t = {
   mutable alloc_stalls : int;
       (** expansions deferred because the free list could not supply the
           template (V is finite, §2.2; the task is retried) *)
-  mutable stuck : (Vid.t * string) list;  (** runtime errors turned into ⊥ *)
+  stuck : stuck_set;
+      (** runtime errors turned into ⊥. A per-PE reducer shares its
+          owner's set and only reads it: the set changes at the barrier
+          alone, so reading it from a worker domain is safe. *)
+  owns_stuck : bool;  (** [stuck] is this reducer's own (not [~stuck_of]) *)
+  fresh_stuck : (Vid.t * string) Dgr_util.Vec.t;
+      (** a per-PE reducer's first reports since the last {!absorb} —
+          vertices not yet in [stuck] *)
   mutable rq_scratch : int array;
       (** reusable raw snapshot of one vertex's request rows (see
           [Vertex.blit_requests]) — keeps the rewrite paths allocation-free *)
@@ -60,6 +72,7 @@ val create :
   ?speculate_if:bool ->
   ?speculation_reserve:int ->
   ?recorder:Dgr_obs.Recorder.t ->
+  ?stuck_of:t ->
   graph:Graph.t ->
   mut:Dgr_core.Mutator.t ->
   templates:Template.registry ->
@@ -71,7 +84,9 @@ val create :
     With it off, evaluation is purely demand-driven (lazy).
     [speculation_reserve] (default 0) is the number of heap slots an
     eager/reserve-class expansion must leave free, so speculation cannot
-    allocate the vital computation out of memory. *)
+    allocate the vital computation out of memory. With [stuck_of], the
+    reducer is a per-PE one: it shares [stuck_of]'s stuck set, reports
+    new stuck vertices into [fresh_stuck], and {!absorb} merges them. *)
 
 val execute : t -> Task.reduction -> unit
 
@@ -97,9 +112,23 @@ val purge_parked : t -> (Task.reduction -> bool) -> int
 (** Expunge matching parked tasks (restructure's irrelevant-task
     deletion must see parked tasks too). *)
 
+val stuck_count : t -> int
+
+val stuck : t -> (Vid.t * string) list
+(** The stuck set as [(vid, first reason)] pairs, ascending by vid. *)
+
+val forget_stuck : t -> Vid.t -> unit
+(** Drop a reclaimed vertex from the stuck set, so the set never holds a
+    freed vertex and a recycled vid that gets stuck again is reported
+    again. The engine calls this for each vertex a restructure or
+    reference counting reclaims. *)
+
 val absorb : t -> t -> unit
 (** [absorb t src] folds a per-PE reducer's step-local effects into [t]
-    and zeroes [src]: counters are summed, parked tasks appended, stuck
-    vertices merged (first report wins), and a pending [result] adopted.
-    The sharded engine calls this at each barrier in ascending PE order
-    so the merge is independent of domain scheduling. *)
+    and zeroes [src]: counters are summed, parked tasks appended, a
+    pending [result] adopted, and [src]'s fresh stuck reports added to
+    the shared set (first report wins). A per-PE reducer skips vertices
+    already in the set before it reports, so the merge costs only the
+    vertices that got stuck this step — not the set's size. The sharded
+    engine calls this at each barrier in ascending PE order so the merge
+    is independent of domain scheduling. *)

@@ -126,8 +126,10 @@ type pe_ctx = {
 (* The worker pool: [domains - 1] long-lived domains driven by a
    generation barrier. The main domain publishes a job and a new
    generation, runs shard 0 itself, then waits for every worker to check
-   in. Workers are spawned lazily on the first parallel step (the OCaml
-   runtime caps total domains) and joined by [dispose]. *)
+   in. A shard that raises still checks in, leaving its exception in
+   [failed]; the main domain re-raises the lowest failed shard's after
+   the join. Workers are spawned lazily on the first parallel step (the
+   OCaml runtime caps total domains) and joined by [dispose]. *)
 type workers = {
   mutable doms : unit Domain.t array;
   mu : Mutex.t;
@@ -136,7 +138,18 @@ type workers = {
   mutable gen : int;
   mutable done_count : int;
   mutable stop : bool;
+  failed : (exn * Printexc.raw_backtrace) option array;  (** per shard, this job *)
 }
+
+exception Shard_failed of { step : int; shard : int; lo : int; hi : int; exn : exn }
+
+let () =
+  Printexc.register_printer (function
+    | Shard_failed { step; shard; lo; hi; exn } ->
+      Some
+        (Printf.sprintf "step %d, shard %d (PEs %d-%d): %s" step shard lo (hi - 1)
+           (Printexc.to_string exn))
+    | _ -> None)
 
 type t = {
   cfg : config;
@@ -362,8 +375,8 @@ let pe_send t ctx task =
              remote = pe <> ctx.cpe;
              lin = ctx.clin;
            }));
-    Network.Mailbox.post ctx.mbox ~lin:ctx.clin ~depth:ctx.cdepth ~src:ctx.cpe
-      ~arrival:(t.now + delay) ~pe task
+    Network.Mailbox.post ctx.mbox ~lin:ctx.clin ~depth:ctx.cdepth ~arrival:(t.now + delay)
+      ~pe task
   end
 
 let purge_everywhere t pred =
@@ -518,8 +531,8 @@ let create ?recorder ?(config = Config.default) g templates =
         in
         let cell = ref None in
         let pred =
-          Reducer.create ~speculate_if ~speculation_reserve ?recorder:sub ~graph:g ~mut
-            ~templates
+          Reducer.create ~speculate_if ~speculation_reserve ?recorder:sub ~stuck_of:t.red
+            ~graph:g ~mut ~templates
             ~send:(fun task ->
               match !cell with Some ctx -> pe_send t ctx task | None -> assert false)
             ()
@@ -528,7 +541,7 @@ let create ?recorder ?(config = Config.default) g templates =
           {
             cpe = pe;
             crng = t.pe_rngs.(pe);
-            mbox = Network.Mailbox.create ();
+            mbox = Network.Mailbox.create ~src:pe;
             ctrl = Vec.create ();
             pred;
             pm = Metrics.create ();
@@ -707,6 +720,7 @@ let flush_rc_purge t =
   if not (Vid.Set.is_empty t.rc_freed_batch) then begin
     let dead = t.rc_freed_batch in
     t.rc_freed_batch <- Vid.Set.empty;
+    if Reducer.stuck_count t.red > 0 then Vid.Set.iter (Reducer.forget_stuck t.red) dead;
     ignore
       (purge_for_baseline t (fun task ->
            match task with
@@ -929,6 +943,10 @@ let gc_control t =
            the live vertices plus the slots being reclaimed. *)
         pause t ~reason:Dgr_obs.Event.Restructure_pause
           (Graph.live_count t.g + List.length report.Dgr_core.Restructure.garbage);
+        (* Reclaimed vertices leave the stuck set: it stays bounded by the
+           live heap, and a recycled vid can be reported stuck afresh. *)
+        if Reducer.stuck_count t.red > 0 then
+          List.iter (Reducer.forget_stuck t.red) report.Dgr_core.Restructure.garbage;
         if Config.recover_deadlock t.cfg then recover_deadlocks t report;
         (* Decentralized initiation: the next cycle's mark wave may open
            while this cycle's restructure pause is still draining — the
@@ -1010,6 +1028,10 @@ let run_shard t d =
   done;
   Domain.DLS.set dls_pe (-1)
 
+(* Run shard [d] of [job], keeping what it raises in [failed.(d)]. *)
+let run_caught w job d =
+  try job d with e -> w.failed.(d) <- Some (e, Printexc.get_raw_backtrace ())
+
 let spawn_workers t =
   let w =
     {
@@ -1020,6 +1042,7 @@ let spawn_workers t =
       gen = 0;
       done_count = 0;
       stop = false;
+      failed = Array.make t.domains None;
     }
   in
   let worker i () =
@@ -1037,7 +1060,7 @@ let spawn_workers t =
       else begin
         let g = w.gen and job = w.job in
         Mutex.unlock w.mu;
-        (match job with Some f -> f (i + 1) | None -> ());
+        (match job with Some f -> run_caught w f (i + 1) | None -> ());
         my_gen := g;
         Mutex.lock w.mu;
         w.done_count <- w.done_count + 1;
@@ -1053,7 +1076,10 @@ let spawn_workers t =
    wait for the workers. The mutex pair on each side doubles as the
    memory barrier that publishes every shard's writes to the merge.
    [job d] must touch only shard [d]'s state — the execution budgets and
-   restructure's home passes both qualify. *)
+   restructure's home passes both qualify. Every shard checks in even
+   when it raises, so the join always completes; then the lowest failed
+   shard's exception is re-raised as [Shard_failed] with the step and
+   the shard's PE range. *)
 let run_parallel t job =
   let w =
     match t.workers with
@@ -1069,13 +1095,21 @@ let run_parallel t job =
   w.done_count <- 0;
   Condition.broadcast w.cv;
   Mutex.unlock w.mu;
-  job 0;
+  run_caught w job 0;
   Mutex.lock w.mu;
   while w.done_count < Array.length w.doms do
     Condition.wait w.cv w.mu
   done;
   w.job <- None;
-  Mutex.unlock w.mu
+  Mutex.unlock w.mu;
+  for d = 0 to t.domains - 1 do
+    match w.failed.(d) with
+    | None -> ()
+    | Some (exn, bt) ->
+      Array.fill w.failed 0 t.domains None;
+      let lo = d * t.num_pes / t.domains and hi = (d + 1) * t.num_pes / t.domains in
+      Printexc.raise_with_backtrace (Shard_failed { step = t.now; shard = d; lo; hi; exn }) bt
+  done
 
 (* Restructure's sharded passes: run [f] over every home PE, sharded
    across the domains exactly like the execution budgets. The span is

@@ -270,6 +270,14 @@ val step : t -> unit
     depends on the shard count, results are bit-identical at every
     [domains] value. *)
 
+exception Shard_failed of { step : int; shard : int; lo : int; hi : int; exn : exn }
+(** Raised by {!step} when a shard running on the worker pool
+    ([domains > 1]) raised [exn] at simulated [step]; the shard owns PEs
+    [lo, hi). Every shard still checks in first, so the pool never hangs
+    and the engine can be {!dispose}d; when several shards fail, the
+    lowest one is reported. At [domains = 1] a failing PE's exception
+    propagates unwrapped. *)
+
 val dispose : t -> unit
 (** Stop and join the worker domains, if any were spawned. Idempotent;
     an engine is usable (serially) after disposal, but call this before

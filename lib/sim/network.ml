@@ -913,33 +913,53 @@ let crash_pe t ~pe =
    batches equal the serial engine's — independent of which domain ran
    which PE when. *)
 module Mailbox = struct
-  type entry = {
-    e_src : int;
-    e_arrival : int;
-    e_pe : int;
-    e_lin : int;
-    e_depth : int;
-    e_task : Task.t;
+  (* Struct of arrays: one int column per entry field plus the task
+     column, so a post writes five slots and allocates nothing. Every
+     entry's source is the mailbox's own PE. *)
+  type mb = {
+    src : int;
+    mutable len : int;
+    mutable arrival : int array;
+    mutable dst : int array;
+    mutable lin : int array;
+    mutable depth : int array;
+    mutable task : Task.t array;
   }
 
-  type mb = entry Vec.t
+  let create ~src =
+    { src; len = 0; arrival = [||]; dst = [||]; lin = [||]; depth = [||]; task = [||] }
 
-  let create () : mb = Vec.create ()
+  let widen a cap fill =
+    let a' = Array.make cap fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
 
-  let post (mb : mb) ?(lin = -1) ?(depth = 0) ~src ~arrival ~pe task =
-    Vec.push mb
-      { e_src = src; e_arrival = arrival; e_pe = pe; e_lin = lin; e_depth = depth;
-        e_task = task }
+  let grow mb fill =
+    let cap = Int.max 16 (2 * mb.len) in
+    mb.arrival <- widen mb.arrival cap 0;
+    mb.dst <- widen mb.dst cap 0;
+    mb.lin <- widen mb.lin cap 0;
+    mb.depth <- widen mb.depth cap 0;
+    mb.task <- widen mb.task cap fill
 
-  let length (mb : mb) = Vec.length mb
+  let post mb ~lin ~depth ~arrival ~pe task =
+    let i = mb.len in
+    if i = Array.length mb.task then grow mb task;
+    mb.arrival.(i) <- arrival;
+    mb.dst.(i) <- pe;
+    mb.lin.(i) <- lin;
+    mb.depth.(i) <- depth;
+    mb.task.(i) <- task;
+    mb.len <- i + 1
 
-  let flush (mb : mb) net =
-    Vec.iter
-      (fun e ->
-        send ~src:e.e_src ~lin:e.e_lin ~depth:e.e_depth net ~arrival:e.e_arrival
-          ~pe:e.e_pe e.e_task)
-      mb;
-    Vec.clear mb
+  let length mb = mb.len
+
+  let flush mb net =
+    for i = 0 to mb.len - 1 do
+      send ~src:mb.src ~lin:mb.lin.(i) ~depth:mb.depth.(i) net ~arrival:mb.arrival.(i)
+        ~pe:mb.dst.(i) mb.task.(i)
+    done;
+    mb.len <- 0
 
   type t = mb
 end
@@ -1034,13 +1054,11 @@ let sf_find t ~dst ~src ~arrival =
 let flush_shard_group t (mbs : Mailbox.mb array) ~lo ~hi =
   for src = 0 to Array.length mbs - 1 do
     let mb = mbs.(src) in
-    let data = Vec.unsafe_data mb in
     let base = t.sf_offs.(src) in
-    for i = 0 to Mailbox.length mb - 1 do
-      let e = data.(i) in
-      let dst = e.Mailbox.e_pe in
+    for i = 0 to mb.Mailbox.len - 1 do
+      let dst = mb.Mailbox.dst.(i) in
       if dst >= lo && dst < hi then begin
-        let arrival = e.Mailbox.e_arrival in
+        let arrival = mb.Mailbox.arrival.(i) in
         let b =
           if not t.batching then t.sf_dummy else sf_find t ~dst ~src ~arrival
         in
@@ -1059,7 +1077,7 @@ let flush_shard_group t (mbs : Mailbox.mb array) ~lo ~hi =
             b
           end
         in
-        match e.Mailbox.e_task with
+        match mb.Mailbox.task.(i) with
         | Task.Marking m
           when (match m with Task.Return _ -> false | _ -> t.batching)
                && mark_staged b m ->
@@ -1088,26 +1106,20 @@ let flush_shard_finalize t (mbs : Mailbox.mb array) =
   let n = Array.length mbs in
   for src = 0 to n - 1 do
     let mb = mbs.(src) in
-    let data = Vec.unsafe_data mb in
     let base = t.sf_offs.(src) in
-    for i = 0 to Mailbox.length mb - 1 do
-      let e = data.(i) in
+    for i = 0 to mb.Mailbox.len - 1 do
+      let task = mb.Mailbox.task.(i) in
       if t.sf_vidx.(base + i) < 0 then begin
         t.marks_coalesced <- t.marks_coalesced + 1;
+        let pe = mb.Mailbox.dst.(i) in
         (match t.recorder with
         | None -> ()
         | Some r ->
           Dgr_obs.Recorder.emit r
             (Dgr_obs.Event.Coalesce
-               {
-                 pe = e.Mailbox.e_pe;
-                 vid =
-                   (match Task.exec_vertex e.Mailbox.e_task with
-                   | Some v -> v
-                   | None -> -1);
-               }));
-        match e.Mailbox.e_task with
-        | Task.Marking m -> t.on_coalesce ~pe:e.Mailbox.e_pe m
+               { pe; vid = (match Task.exec_vertex task with Some v -> v | None -> -1) }));
+        match task with
+        | Task.Marking m -> t.on_coalesce ~pe m
         | Task.Reduction _ -> assert false (* only marks coalesce *)
       end
       else begin
@@ -1119,17 +1131,17 @@ let flush_shard_finalize t (mbs : Mailbox.mb array) =
           t.next_uid <- t.next_uid + 1;
           Vec.push t.staged b
         end;
-        (match (t.lineage, e.Mailbox.e_task) with
+        (match (t.lineage, task) with
         | Some l, Task.Reduction _ ->
           Vec.set b.b_stamps idx
-            (Dgr_obs.Lineage.open_ticket l ~lin:e.Mailbox.e_lin
-               ~depth:e.Mailbox.e_depth ~sent:t.clock ~arrival:e.Mailbox.e_arrival)
+            (Dgr_obs.Lineage.open_ticket l ~lin:mb.Mailbox.lin.(i) ~depth:mb.Mailbox.depth.(i)
+               ~sent:t.clock ~arrival:mb.Mailbox.arrival.(i))
         | _ -> ());
         t.undelivered <- t.undelivered + 1;
         t.tasks_sent <- t.tasks_sent + 1
       end
     done;
-    Vec.clear mb
+    mb.Mailbox.len <- 0
   done;
   for dst = 0 to n - 1 do
     Vec.clear t.sf_batches.(dst);

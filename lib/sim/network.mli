@@ -206,14 +206,17 @@ val crash_pe : t -> pe:int -> int
     posts its sends here instead of staging directly; the engine flushes
     every mailbox at the step barrier in ascending PE order. Staging
     groups tasks by (src, dst, arrival) regardless of post interleaving,
-    so the merged batches equal the serial engine's exactly. *)
+    so the merged batches equal the serial engine's exactly. Entries are
+    stored column-wise, so a warm mailbox posts without allocating. *)
 module Mailbox : sig
   type mb
 
-  val create : unit -> mb
+  val create : src:int -> mb
+  (** The mailbox of PE [src]: every task posted to it is sent from [src]. *)
 
-  val post :
-    mb -> ?lin:int -> ?depth:int -> src:int -> arrival:int -> pe:int -> Task.t -> unit
+  val post : mb -> lin:int -> depth:int -> arrival:int -> pe:int -> Task.t -> unit
+  (** Buffer a send to PE [pe] for [arrival], with its lineage [lin]
+      ([-1] untracked) and causal [depth] (see {!send}). *)
 
   val length : mb -> int
 

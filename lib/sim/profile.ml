@@ -46,7 +46,10 @@ type t = {
      on the worker pool and counts as parallelizable alongside execute
      and restructure. *)
   mutable drain_ns : float;  (* inside merge: sub-recorder event drain *)
-  mutable absorb_ns : float;  (* inside merge: metrics/reducer absorption *)
+  mutable absorb_ns : float;
+      (* inside merge: metrics/reducer absorption — O(what the step
+         touched): dirty histogram buckets, and only the vertices that
+         got stuck this step (the stuck set answers membership in O(1)) *)
   mutable close_ns : float;  (* inside merge: batched lineage closes *)
   mutable pflush_ns : float;  (* inside merge: sharded flush grouping (parallelizable) *)
   mutable flush_ns : float;  (* inside merge: serial flush finalization *)

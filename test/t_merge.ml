@@ -88,13 +88,13 @@ let flush_pair ~shards schedule pes =
   let post_all mbs =
     List.iter
       (fun (src, dst, arrival, task) ->
-        Network.Mailbox.post mbs.(src) ~src ~arrival ~pe:dst task)
+        Network.Mailbox.post mbs.(src) ~lin:(-1) ~depth:0 ~arrival ~pe:dst task)
       schedule
   in
   let fired = ref [] in
   let net = Network.create () in
   Network.set_on_coalesce net (fun ~pe m -> fired := (pe, m) :: !fired);
-  let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
+  let mbs = Array.init pes (fun src -> Network.Mailbox.create ~src) in
   post_all mbs;
   (match shards with
   | None -> Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs
@@ -137,7 +137,7 @@ let test_empty_merge_alloc_free () =
   let main_h = Hist.create () and sub_h = Hist.create () in
   let main_m = Metrics.create () and sub_m = Metrics.create () in
   let net = Network.create () in
-  let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
+  let mbs = Array.init pes (fun src -> Network.Mailbox.create ~src) in
   let empty_merge () =
     Hist.absorb ~into:main_h sub_h;
     Metrics.absorb main_m sub_m;
@@ -158,6 +158,183 @@ let test_empty_merge_alloc_free () =
     (Printf.sprintf "%.0f minor words over %d empty merges" words iters)
     true
     (words < 2.0 *. float_of_int iters)
+
+(* A warm mailbox (its columns already sized by an earlier step) posts
+   without allocating: the entry is five array writes, no record and no
+   option boxes. *)
+let test_mailbox_post_alloc_free () =
+  let net = Network.create () in
+  let mb = Network.Mailbox.create ~src:0 in
+  let task =
+    Task.Reduction (Task.Request { src = Some 1; dst = 2; demand = Demand.Vital; key = 2 })
+  in
+  let posts = 1_000 in
+  let fill () =
+    for i = 1 to posts do
+      Network.Mailbox.post mb ~lin:i ~depth:1 ~arrival:(4 + (i land 1)) ~pe:(i land 7) task
+    done
+  in
+  fill ();
+  Network.Mailbox.flush mb net;
+  let w0 = Gc.minor_words () in
+  fill ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "posted" posts (Network.Mailbox.length mb);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over %d warm posts" words posts)
+    true (words < 16.0)
+
+(* --- the stuck set --------------------------------------------------- *)
+
+(* The storm-tree-8k machine of [dgr bench]: a random operator graph
+   with no templates, so over a thousand vertices get stuck (unknown
+   function, arity errors, malformed ifs, dangling indirections). *)
+let storm_engine ~domains =
+  let spec =
+    { Builder.live = 8_000; garbage = 2_000; free_pool = 64; avg_degree = 2.5; cycle_bias = 0.15 }
+  in
+  let config =
+    Engine.Config.make ~num_pes:8
+      ~gc:(Engine.Concurrent { deadlock_every = 1; idle_gap = 30 })
+      ~heap_size:None ~marking:Dgr_core.Cycle.Tree ~seed:11 ~domains ()
+  in
+  let g = Builder.random ~num_pes:8 (Rng.create 11) spec in
+  let e = Engine.create ~config g (Dgr_reduction.Template.create_registry ()) in
+  Engine.inject_root_demand e;
+  List.iteri
+    (fun i v -> if i mod 8 = 0 then Engine.inject e (Task.request v Demand.Eager))
+    (Graph.live_vids g);
+  e
+
+let stuck_digest l =
+  Digest.to_hex
+    (Digest.string (String.concat ";" (List.map (fun (v, r) -> Printf.sprintf "%d:%s" v r) l)))
+
+(* 1,200 steps stop before the first restructure, so nothing has been
+   reclaimed yet. The count and digest were taken from the list-based
+   stuck set this one replaced (newest-first list, merged with a linear
+   [mem_assoc] per report), sorted by vid: same vids, same first
+   reasons. *)
+let test_stuck_set_across_domains () =
+  let sets =
+    List.map
+      (fun domains ->
+        let e = storm_engine ~domains in
+        let (_ : int) = Engine.run ~max_steps:1_200 ~stop:(fun _ -> false) e in
+        Engine.dispose e;
+        Alcotest.(check int) "no cycle completed yet" 0 (Engine.metrics e).Metrics.cycles_completed;
+        let red = Engine.reducer e in
+        Alcotest.(check int) "count" (List.length (Dgr_reduction.Reducer.stuck red))
+          (Dgr_reduction.Reducer.stuck_count red);
+        (domains, Dgr_reduction.Reducer.stuck red))
+      [ 1; 2; 4 ]
+  in
+  let one = List.assoc 1 sets in
+  Alcotest.(check int) "stuck vertices" 1257 (List.length one);
+  Alcotest.(check string) "the old list's vids and reasons" "96d72382487aba8da2953d94e6d700f7"
+    (stuck_digest one);
+  List.iter
+    (fun (d, set) ->
+      Alcotest.(check bool) (Printf.sprintf "domains=%d stuck set" d) true (set = one))
+    sets
+
+(* Reclaimed vertices leave the set: through two collection cycles no
+   freed vertex is ever held, and the first cycle's garbage did hold
+   stuck vertices (eager requests were sprayed over the garbage too). *)
+let test_stuck_set_bounded () =
+  let e = storm_engine ~domains:1 in
+  let g = Engine.graph e in
+  let red = Engine.reducer e in
+  let cycles () = (Engine.metrics e).Metrics.cycles_completed in
+  let before_first = ref 0 in
+  while cycles () < 2 do
+    let c = cycles () in
+    if c = 0 then before_first := Dgr_reduction.Reducer.stuck_count red;
+    Engine.step e;
+    if cycles () > c then
+      List.iter
+        (fun (v, _) ->
+          Alcotest.(check bool) (Printf.sprintf "cycle %d: v%d is live" (c + 1) v) false
+            (Graph.is_free g v))
+        (Dgr_reduction.Reducer.stuck red)
+  done;
+  Alcotest.(check int) "storm-tree-8k stuck before the first cycle" 1257 !before_first;
+  Alcotest.(check int) "reclaimed stuck vertices dropped" 1032
+    (Dgr_reduction.Reducer.stuck_count red)
+
+(* The set keeps the first reason; a per-PE reducer's report reaches
+   the shared set only at [absorb] and is skipped once merged; a
+   vertex reclaimed and recycled is reported afresh with its new
+   reason. *)
+let test_stuck_first_report_and_recycling () =
+  let module R = Dgr_reduction.Reducer in
+  let g = Graph.create () in
+  let v = Builder.add_root g (Label.Apply "nope") [] in
+  let mut = Dgr_core.Mutator.create ~spawn:(fun _ -> ()) g in
+  let templates = Dgr_reduction.Template.create_registry () in
+  let owner = R.create ~graph:g ~mut ~templates ~send:ignore () in
+  let pe = R.create ~stuck_of:owner ~graph:g ~mut ~templates ~send:ignore () in
+  let request () = Task.Request { src = None; dst = v; demand = Demand.Vital; key = v } in
+  R.execute pe (request ());
+  Alcotest.(check int) "not merged before the barrier" 0 (R.stuck_count owner);
+  R.execute pe (request ());
+  Alcotest.(check int) "one fresh report" 1 (Vec.length pe.R.fresh_stuck);
+  R.absorb owner pe;
+  Alcotest.(check (list (pair int string))) "merged" [ (v, "unknown function nope") ]
+    (R.stuck owner);
+  R.execute pe (request ());
+  Alcotest.(check int) "already stuck: no fresh report" 0 (Vec.length pe.R.fresh_stuck);
+  Vertex.set_label (Graph.vertex g v) Label.Ind;
+  R.execute owner (request ());
+  Alcotest.(check (list (pair int string))) "first reason kept" [ (v, "unknown function nope") ]
+    (R.stuck owner);
+  (* reclaim and recycle the slot *)
+  Graph.release g v;
+  R.forget_stuck owner v;
+  Alcotest.(check int) "forgotten" 0 (R.stuck_count owner);
+  let w = Vertex.id (Graph.alloc g (Label.Prim Label.Add)) in
+  Alcotest.(check int) "slot recycled" v w;
+  R.execute owner (Task.Request { src = None; dst = w; demand = Demand.Vital; key = w });
+  Alcotest.(check (list (pair int string))) "reported again"
+    [ (w, "add applied to 0 args (arity 2)") ]
+    (R.stuck owner)
+
+(* --- a failing shard ---------------------------------------------- *)
+
+(* The storm machine with a mutator guard that fails on every vertex
+   homed on PEs [lo, hi): run until a step raises, and return what it
+   raised. At [domains = 2], PEs 4-7 run on the worker domain. *)
+let failing_step ~domains ~lo ~hi =
+  let e = storm_engine ~domains in
+  let g = Engine.graph e in
+  (Engine.mutator e).Dgr_core.Mutator.guard <-
+    (fun v ->
+      let pe = Vertex.pe (Graph.vertex g v) in
+      if pe >= lo && pe < hi then failwith "boom");
+  let raised = ref None in
+  while !raised = None && Engine.now e < 100 do
+    try Engine.step e with exn -> raised := Some exn
+  done;
+  (* joins the workers: hangs if a shard never checked in *)
+  Engine.dispose e;
+  !raised
+
+let test_shard_failure_surfaces () =
+  let boom = function Some (Failure m) -> m = "boom" | _ -> false in
+  (* off the main domain: the worker checks in, the main re-raises *)
+  (match failing_step ~domains:2 ~lo:4 ~hi:8 with
+  | Some (Engine.Shard_failed { shard; lo; hi; exn; step = _ }) ->
+    Alcotest.(check (list int)) "worker shard and its PEs" [ 1; 4; 8 ] [ shard; lo; hi ];
+    Alcotest.(check bool) "the shard's exception" true (boom (Some exn))
+  | Some exn -> Alcotest.failf "unexpected %s" (Printexc.to_string exn)
+  | None -> Alcotest.fail "no exception");
+  (* shard 0 on the main domain: it still waits for the worker *)
+  (match failing_step ~domains:2 ~lo:0 ~hi:4 with
+  | Some (Engine.Shard_failed { shard = 0; lo = 0; hi = 4; _ }) -> ()
+  | Some exn -> Alcotest.failf "unexpected %s" (Printexc.to_string exn)
+  | None -> Alcotest.fail "no exception");
+  (* one domain: the same guard raises straight out of the step *)
+  Alcotest.(check bool) "domains=1" true (boom (failing_step ~domains:1 ~lo:4 ~hi:8))
 
 (* --- chunk-linked recorder drain ------------------------------------ *)
 
@@ -219,4 +396,13 @@ let suite =
       test_empty_merge_alloc_free;
     Alcotest.test_case "chunk-linked drain = copied drain" `Quick
       test_chunk_drain_order;
+    Alcotest.test_case "warm mailbox post allocates nothing" `Quick
+      test_mailbox_post_alloc_free;
+    Alcotest.test_case "stuck set equal at 1/2/4 domains, = old list" `Quick
+      test_stuck_set_across_domains;
+    Alcotest.test_case "stuck set drops reclaimed vertices" `Quick test_stuck_set_bounded;
+    Alcotest.test_case "a failing shard raises from step, never hangs" `Quick
+      test_shard_failure_surfaces;
+    Alcotest.test_case "stuck set: first reason, barrier merge, recycling" `Quick
+      test_stuck_first_report_and_recycling;
   ]
