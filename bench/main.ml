@@ -10,9 +10,10 @@
    The experiment tables regenerate the paper's figures/claims — the set
    comes from the {!Dgr_harness.Experiments.all} registry, so a new
    experiment shows up here with no change to this file (see
-   EXPERIMENTS.md). The micro-benchmarks measure the marking core itself
-   (host wall-clock, not simulator steps); `dgr bench` is the macro
-   suite (whole-machine throughput, BENCH.json). *)
+   EXPERIMENTS.md). The micro-benchmarks measure the marking core and
+   the per-task hot data structures (task heap, vertex lookup) in host
+   wall-clock, not simulator steps; `dgr bench` is the macro suite
+   (whole-machine throughput, BENCH.json). *)
 
 open Dgr_graph
 open Dgr_util
@@ -83,7 +84,47 @@ let bench_reduction name source =
          Dgr_sim.Engine.inject_root_demand e;
          ignore (Dgr_sim.Engine.run ~max_steps:100_000 e)))
 
-let micro_tests () =
+(* The task-pool hot path: one add and one pop at a steady depth of 4k
+   boxed tasks, priorities drawn from the pool's 0..5 range. *)
+let bench_pqueue_pool name =
+  let q = Pqueue.create () in
+  let tasks =
+    Array.init 64 (fun i ->
+        Dgr_task.Task.Reduction
+          (Dgr_task.Task.Request { src = Some i; dst = i + 1; demand = Demand.Eager; key = i }))
+  in
+  let k = ref 0 in
+  let add () =
+    incr k;
+    Pqueue.add_tagged q ((!k * 7919) mod 6) ~tag:!k tasks.(!k land 63)
+  in
+  for _ = 1 to 4_096 do
+    add ()
+  done;
+  let sink = ref 0 in
+  let f _task tag = sink := tag in
+  Test.make ~name
+    (Staged.stage (fun () ->
+         add ();
+         ignore (Pqueue.pop_tagged_with q f)))
+
+(* Vertex lookup by vid over a storm-sized partitioned graph (62.5k
+   vertices, 8 homes), vids visited in a shuffled order. *)
+let bench_graph_vertex name =
+  let spec =
+    { Builder.live = 50_000; garbage = 12_500; free_pool = 0; avg_degree = 2.5; cycle_bias = 0.15 }
+  in
+  let g = Builder.random ~num_pes:8 (Rng.create 1) spec in
+  Graph.partition g ~pes:8;
+  let vids = Array.of_list (List.map Vertex.id (Graph.fold_live (fun acc v -> v :: acc) [] g)) in
+  Rng.shuffle (Rng.create 2) vids;
+  let i = ref 0 and sink = ref 0 in
+  Test.make ~name
+    (Staged.stage (fun () ->
+         i := (!i + 1) mod Array.length vids;
+         sink := Vertex.pe (Graph.vertex g vids.(!i))))
+
+let model_tests () =
   let sizes = [ 1_000; 4_000; 16_000 ] in
   let marking =
     List.concat_map
@@ -103,40 +144,55 @@ let micro_tests () =
       bench_reduction "engine-sumrange12" (Dgr_lang.Prelude.sum_range 12);
     ]
   in
-  Test.make_grouped ~name:"dgr" (marking @ extras)
+  marking @ extras
+
+let hot_path_tests () =
+  [ bench_pqueue_pool "pqueue-pool/4k"; bench_graph_vertex "graph-vertex/62k" ]
+
+(* Each group runs under its own config, and its fixtures are built only
+   when its turn comes, on a freshly compacted heap, so no group
+   measures on a heap inflated by another's. The hot-path group
+   allocates nothing per run and skips bechamel's per-sample GC
+   stabilization: a full compaction over a 62.5k-vertex heap before
+   every sample eats the quota and leaves each sample starting on a
+   cold cache (the add/pop read 4-17 us instead of ~80 ns). *)
+let micro_groups =
+  [
+    (Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 10) (), model_tests);
+    ( Benchmark.cfg ~stabilize:false ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 10) (),
+      hot_path_tests );
+  ]
 
 let run_micro () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances (micro_tests ()) in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let results = Analyze.merge ols instances results in
+  let clock = Instance.monotonic_clock in
   let table =
     Table.create ~title:"micro-benchmarks (host wall clock)"
       ~columns:[ ("benchmark", Table.Left); ("time/run", Table.Right) ]
   in
-  (match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-  | None -> ()
-  | Some by_test ->
-    let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) by_test [] in
-    List.iter
-      (fun (name, ols) ->
-        let cell =
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) ->
-            if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-            else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-            else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-            else Printf.sprintf "%.0f ns" est
-          | Some [] | None -> "-"
-        in
-        Table.add_row table [ name; cell ])
-      (List.sort compare rows));
+  let rows =
+    List.concat_map
+      (fun (cfg, tests) ->
+        Gc.compact ();
+        let raw = Benchmark.all cfg [ clock ] (Test.make_grouped ~name:"dgr" (tests ())) in
+        Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) (Analyze.all ols clock raw) [])
+      micro_groups
+  in
+  List.iter
+    (fun (name, ols) ->
+      let cell =
+        match Analyze.OLS.estimates ols with
+        | Some (est :: _) ->
+          if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
+          else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
+          else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
+          else Printf.sprintf "%.0f ns" est
+        | Some [] | None -> "-"
+      in
+      Table.add_row table [ name; cell ])
+    (List.sort compare rows);
   Table.print table
 
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,7 @@
 open Dgr_graph
 open Dgr_task
 
-type report = { marked : int; reclaimed : int; purged_tasks : int; work : int }
+type report = { marked : int; reclaimed : int; garbage : Vid.t list; purged_tasks : int; work : int }
 
 let collect g ~purge_tasks =
   let snap = Snapshot.take g in
@@ -33,6 +33,7 @@ let collect g ~purge_tasks =
   {
     marked;
     reclaimed = List.length garbage;
+    garbage;
     purged_tasks = purged;
     work = marked + Graph.vertex_count g;
   }

@@ -14,6 +14,7 @@ open Dgr_task
 type report = {
   marked : int;
   reclaimed : int;
+  garbage : Vid.t list;  (** the reclaimed vids, now on the free list *)
   purged_tasks : int;
   work : int;  (** abstract pause cost: |trace| + |sweep| *)
 }

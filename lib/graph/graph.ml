@@ -31,29 +31,40 @@ module Seg = struct
       len = 0;
     }
 
-  (* chunk index and offset for slot [i]: chunk [j] starts at
-     [base_size * (2^j - 1)]. *)
-  let locate i =
-    let j = ref 0 and lo = ref 0 and size = ref base_size in
-    while i >= !lo + !size do
-      lo := !lo + !size;
-      size := !size * 2;
-      incr j
-    done;
-    (!j, i - !lo)
+  (* [log2_byte.[x]] = floor(log2 x) for 1 <= x < 256. *)
+  let log2_byte =
+    Bytes.init 256 (fun x ->
+        let rec go x n = if x <= 1 then n else go (x lsr 1) (n + 1) in
+        Char.chr (go x 0))
+
+  let log2 x =
+    let byte x = Char.code (Bytes.unsafe_get log2_byte x) in
+    if x < 0x100 then byte x
+    else if x < 0x10000 then 8 + byte (x lsr 8)
+    else if x < 0x1000000 then 16 + byte (x lsr 16)
+    else if x < 0x100000000 then 24 + byte (x lsr 24)
+    else 32 + byte (x lsr 32)
+
+  (* Chunk [j] starts at slot [base_size * (2^j - 1)], so slot [i] lies
+     in chunk [log2 (i / base_size + 1)]: O(1) integer arithmetic, no
+     tuple, no loop. *)
+  let chunk_of i = log2 ((i / base_size) + 1)
+
+  let offset_in i j = i - (base_size * ((1 lsl j) - 1))
 
   let length t = t.len
 
   let get t i =
-    let j, off = locate i in
-    Array.unsafe_get (Array.unsafe_get t.chunks j) off
+    let j = chunk_of i in
+    Array.unsafe_get (Array.unsafe_get t.chunks j) (offset_in i j)
 
   let dummy = lazy (Vertex.create (-1) ~pe:(-1) Label.Freed)
 
   (* Append a fresh slot, materializing the chunk (handles + columns) on
      first touch, and return its handle. *)
   let alloc t id ~pe label =
-    let j, off = locate t.len in
+    let j = chunk_of t.len in
+    let off = offset_in t.len j in
     if Array.length t.chunks.(j) = 0 then begin
       t.cols.(j) <- Vertex.make_cols (base_size lsl j);
       t.chunks.(j) <- Array.make (base_size lsl j) (Lazy.force dummy)
@@ -240,15 +251,17 @@ let mem t v =
       let off = v - p.base in
       off >= 0 && off / p.pes < Seg.length p.segs.(off mod p.pes)
 
+let unknown_vertex v = invalid_arg (Printf.sprintf "Graph.vertex: unknown vertex v%d" v)
+
 let vertex t v =
   if v >= 0 && v < Seg.length t.dense then Seg.get t.dense v
   else
     match t.part with
-    | Some p when v >= p.base && (v - p.base) / p.pes < Seg.length p.segs.((v - p.base) mod p.pes)
-      ->
-      Seg.get p.segs.((v - p.base) mod p.pes) ((v - p.base) / p.pes)
-    | Some _ | None ->
-      invalid_arg (Printf.sprintf "Graph.vertex: unknown vertex v%d" v)
+    | Some p when v >= p.base ->
+      let off = v - p.base in
+      let seg = p.segs.(off mod p.pes) and k = off / p.pes in
+      if k < Seg.length seg then Seg.get seg k else unknown_vertex v
+    | Some _ | None -> unknown_vertex v
 
 (* Vid-keyed scalar accessors: one slot lookup, no allocation. *)
 let label t v = Vertex.label (vertex t v)

@@ -120,8 +120,8 @@ val stuck : t -> (Vid.t * string) list
 val forget_stuck : t -> Vid.t -> unit
 (** Drop a reclaimed vertex from the stuck set, so the set never holds a
     freed vertex and a recycled vid that gets stuck again is reported
-    again. The engine calls this for each vertex a restructure or
-    reference counting reclaims. *)
+    again. The engine calls this for each vertex a restructure, a
+    stop-the-world collection or reference counting reclaims. *)
 
 val absorb : t -> t -> unit
 (** [absorb t src] folds a per-PE reducer's step-local effects into [t]

@@ -110,8 +110,11 @@ type pe_ctx = {
   mutable clin : int;  (** lineage of the task this PE is executing; -1 outside *)
   mutable cdepth : int;  (** causal depth its children inherit *)
   cdone : int Vec.t;  (** tickets of executed tasks, closed at the barrier *)
-  mutable cmark_ns : float;  (** profiler: this shard's marking-budget time *)
-  mutable cred_ns : float;  (** profiler: this shard's reduction-budget time *)
+  inbox : Task.t Vec.t;
+      (** tasks the network delivered to this PE this step, in delivery
+          order; the PE's shard moves them into its pool before running
+          its budgets *)
+  inbox_stamps : int Vec.t;  (** their lineage stamps, parallel to [inbox] *)
   mutable cexec : (Task.t -> int -> unit) option;
       (** pre-bound [execute_one_buffered] — built on first use, reused by
           every budget drain so the inner loop allocates no closures *)
@@ -174,7 +177,11 @@ type t = {
   obs_on : bool;  (** [recorder <> None]; avoids building event records when off *)
   m : Metrics.t;
   lin : Dgr_obs.Lineage.t;  (** causal lineage tickets, one per pooled reduction *)
-  prof : Profile.t;  (** wall-clock step-phase attribution *)
+  prof : Profile.Sums.t;  (** wall-clock step-phase attribution *)
+  mutable prof_steps : int;
+  shard_ns : float array;
+      (** profiler: shard [d]'s marking- and reduction-budget time at
+          [2d] and [2d + 1], folded into [prof] at the barrier *)
   mutable now : int;
   mutable current_pe : int;  (** PE whose task is executing; -1 = controller *)
   mutable current_lin : int;  (** lineage of the executing task; -1 = none *)
@@ -441,7 +448,9 @@ let create ?recorder ?(config = Config.default) g templates =
       obs_on = recorder <> None;
       m = Metrics.create ();
       lin = lineage;
-      prof = Profile.create ();
+      prof = Profile.Sums.create ();
+      prof_steps = 0;
+      shard_ns = Array.make (2 * num_pes) 0.0;
       now = 0;
       current_pe = -1;
       current_lin = -1;
@@ -549,8 +558,8 @@ let create ?recorder ?(config = Config.default) g templates =
             clin = -1;
             cdepth = 0;
             cdone = Vec.create ();
-            cmark_ns = 0.0;
-            cred_ns = 0.0;
+            inbox = Vec.create ();
+            inbox_stamps = Vec.create ();
             cexec = None;
             ccoop = Vec.create ();
             cemit = None;
@@ -658,7 +667,7 @@ let metrics t = t.m
 
 let lineage t = t.lin
 
-let profile t = t.prof
+let profile t = Profile.of_sums ~steps:t.prof_steps t.prof
 
 let faults t = t.flt
 
@@ -928,6 +937,8 @@ let gc_control t =
       let report = Stw.collect t.g ~purge_tasks:(purge_for_baseline t) in
       t.m.Metrics.stw_collections <- t.m.Metrics.stw_collections + 1;
       pause t ~reason:Dgr_obs.Event.Stw_pause report.Stw.work;
+      if Reducer.stuck_count t.red > 0 then
+        List.iter (Reducer.forget_stuck t.red) report.Stw.garbage;
       t.next_stw_at <- Int.max t.paused_until t.now + every;
       unpark t
     end
@@ -977,29 +988,17 @@ let execute_budgets t pe pool =
   t.budget_pe <- pe;
   Pool.drain_marking pool ~budget:t.marking_per_step f;
   let t1 = Profile.now () in
-  t.prof.Profile.mark_ns <- t.prof.Profile.mark_ns +. (t1 -. t0);
+  t.prof.Profile.Sums.mark_ns <- t.prof.Profile.Sums.mark_ns +. (t1 -. t0);
   Pool.drain pool ~budget:t.tasks_per_step f;
-  t.prof.Profile.red_ns <- t.prof.Profile.red_ns +. (Profile.now () -. t1)
+  t.prof.Profile.Sums.red_ns <- t.prof.Profile.Sums.red_ns +. (Profile.now () -. t1)
 
-let execute_budgets_buffered t ctx pool =
-  let t0 = Profile.now () in
-  let f =
-    match ctx.cexec with
-    | Some f -> f
-    | None ->
-      let f task stamp = execute_one_buffered t ctx task stamp in
-      ctx.cexec <- Some f;
-      f
-  in
-  Pool.drain_marking pool ~budget:t.marking_per_step f;
-  let t1 = Profile.now () in
-  ctx.cmark_ns <- ctx.cmark_ns +. (t1 -. t0);
-  (* During a restructure pause only the marking budget runs: the
-     mutator is stopped, the next wave's marks are not. *)
-  if not t.mark_only then begin
-    Pool.drain pool ~budget:t.tasks_per_step f;
-    ctx.cred_ns <- ctx.cred_ns +. (Profile.now () -. t1)
-  end
+let exec_buffered t ctx =
+  match ctx.cexec with
+  | Some f -> f
+  | None ->
+    let f task stamp = execute_one_buffered t ctx task stamp in
+    ctx.cexec <- Some f;
+    f
 
 (* A step is {e buffered} when nothing serial-only is in play: no
    refcounting (immediate purges and free-slot recycling) and no fault
@@ -1014,18 +1013,46 @@ let execute_budgets_buffered t ctx pool =
    worker domains or inline. *)
 let buffered_ok t = t.rc = None && t.flt = None
 
-(* Shard [d] owns the PE range [d*n/domains, (d+1)*n/domains). *)
+(* Shard [d] owns the PE range [d*n/domains, (d+1)*n/domains). It runs
+   every PE's marking budget, then every PE's reduction budget (which
+   lends idle slots to marking — see [Pool.drain]), reading the clock
+   once per pass rather than per PE. Reordering PEs within a shard is
+   safe for the same reason shards may run on different domains at all:
+   between barriers a PE touches only its own context, pool and homed
+   vertices, so no PE's budget can observe another's. *)
 let run_shard t d =
   let lo = d * t.num_pes / t.domains and hi = (d + 1) * t.num_pes / t.domains in
+  let t0 = Profile.now () in
   for pe = lo to hi - 1 do
+    let ctx = t.ctxs.(pe) and pool = t.pools.(pe) in
+    (* This step's deliveries, in delivery order — a down PE's too, so
+       its pool holds what a serial delivery would have put there. *)
+    for i = 0 to Vec.length ctx.inbox - 1 do
+      Pool.push_stamped pool ~stamp:(Vec.get ctx.inbox_stamps i) (Vec.get ctx.inbox i)
+    done;
+    Vec.clear ctx.inbox;
+    Vec.clear ctx.inbox_stamps;
     (* The down check only ever fires after an injected crash on an
        otherwise fault-free machine (any crash {e rate} forces the serial
        path via [flt]); it reads serial state the barrier published. *)
     if t.down_since.(pe) < 0 then begin
       Domain.DLS.set dls_pe pe;
-      execute_budgets_buffered t t.ctxs.(pe) t.pools.(pe)
+      Pool.drain_marking pool ~budget:t.marking_per_step (exec_buffered t ctx)
     end
   done;
+  let t1 = Profile.now () in
+  t.shard_ns.(2 * d) <- t.shard_ns.(2 * d) +. (t1 -. t0);
+  (* During a restructure pause only the marking budget runs: the
+     mutator is stopped, the next wave's marks are not. *)
+  if not t.mark_only then begin
+    for pe = lo to hi - 1 do
+      if t.down_since.(pe) < 0 then begin
+        Domain.DLS.set dls_pe pe;
+        Pool.drain t.pools.(pe) ~budget:t.tasks_per_step (exec_buffered t t.ctxs.(pe))
+      end
+    done;
+    t.shard_ns.((2 * d) + 1) <- t.shard_ns.((2 * d) + 1) +. (Profile.now () -. t1)
+  end;
   Domain.DLS.set dls_pe (-1)
 
 (* Run shard [d] of [job], keeping what it raises in [failed.(d)]. *)
@@ -1123,7 +1150,7 @@ let each_home_run t f =
     done
   in
   if t.domains > 1 then run_parallel t job else job 0;
-  t.prof.Profile.restr_ns <- t.prof.Profile.restr_ns +. (Profile.now () -. r0)
+  t.prof.Profile.Sums.restr_ns <- t.prof.Profile.Sums.restr_ns +. (Profile.now () -. r0)
 
 let () = each_home_cell := each_home_run
 
@@ -1155,15 +1182,15 @@ let flush_mailboxes t =
         job d
       done;
     let f1 = Profile.now () in
-    t.prof.Profile.pflush_ns <- t.prof.Profile.pflush_ns +. (f1 -. f0);
+    t.prof.Profile.Sums.pflush_ns <- t.prof.Profile.Sums.pflush_ns +. (f1 -. f0);
     Network.flush_shard_finalize t.net t.mboxes;
-    t.prof.Profile.flush_ns <- t.prof.Profile.flush_ns +. (Profile.now () -. f1)
+    t.prof.Profile.Sums.flush_ns <- t.prof.Profile.Sums.flush_ns +. (Profile.now () -. f1)
   end
   else begin
     (* Staged frames already forming (a send outside the step loop):
        only the serial flush merges into those correctly. *)
     Array.iter (fun ctx -> Network.Mailbox.flush ctx.mbox t.net) t.ctxs;
-    t.prof.Profile.flush_ns <- t.prof.Profile.flush_ns +. (Profile.now () -. f0)
+    t.prof.Profile.Sums.flush_ns <- t.prof.Profile.Sums.flush_ns +. (Profile.now () -. f0)
   end
 
 let dispose t =
@@ -1202,18 +1229,20 @@ let merge_buffered t =
         | None -> ())
       t.ctxs);
   let m1 = Profile.now () in
-  t.prof.Profile.drain_ns <- t.prof.Profile.drain_ns +. (m1 -. m0);
+  t.prof.Profile.Sums.drain_ns <- t.prof.Profile.Sums.drain_ns +. (m1 -. m0);
   Array.iter
     (fun ctx ->
       Reducer.absorb t.red ctx.pred;
-      Metrics.absorb t.m ctx.pm;
-      t.prof.Profile.mark_ns <- t.prof.Profile.mark_ns +. ctx.cmark_ns;
-      ctx.cmark_ns <- 0.0;
-      t.prof.Profile.red_ns <- t.prof.Profile.red_ns +. ctx.cred_ns;
-      ctx.cred_ns <- 0.0)
+      Metrics.absorb t.m ctx.pm)
     t.ctxs;
+  for d = 0 to t.domains - 1 do
+    t.prof.Profile.Sums.mark_ns <- t.prof.Profile.Sums.mark_ns +. t.shard_ns.(2 * d);
+    t.prof.Profile.Sums.red_ns <- t.prof.Profile.Sums.red_ns +. t.shard_ns.((2 * d) + 1);
+    t.shard_ns.(2 * d) <- 0.0;
+    t.shard_ns.((2 * d) + 1) <- 0.0
+  done;
   let m2 = Profile.now () in
-  t.prof.Profile.absorb_ns <- t.prof.Profile.absorb_ns +. (m2 -. m1);
+  t.prof.Profile.Sums.absorb_ns <- t.prof.Profile.Sums.absorb_ns +. (m2 -. m1);
   (* Close the executed tasks' tickets before flushing the mailboxes: the
      freed slots are recycled by the flush's opens, in ascending PE order
      both times, so slot allocation stays a pure function of the step's
@@ -1225,7 +1254,7 @@ let merge_buffered t =
       Vec.clear ctx.cdone)
     t.ctxs;
   let m3 = Profile.now () in
-  t.prof.Profile.close_ns <- t.prof.Profile.close_ns +. (m3 -. m2);
+  t.prof.Profile.Sums.close_ns <- t.prof.Profile.Sums.close_ns +. (m3 -. m2);
   flush_mailboxes t;
   let m4 = Profile.now () in
   Array.iter
@@ -1242,7 +1271,7 @@ let merge_buffered t =
       Vec.iter (fun task -> execute_at_controller t task) ctx.ctrl;
       Vec.clear ctx.ctrl)
     t.ctxs;
-  t.prof.Profile.replay_ns <- t.prof.Profile.replay_ns +. (Profile.now () -. m4)
+  t.prof.Profile.Sums.replay_ns <- t.prof.Profile.Sums.replay_ns +. (Profile.now () -. m4)
 
 (* Health watchdogs. Window-based: each monitor re-arms on any progress
    (or while the machine is legitimately paused) and fires at most once
@@ -1439,15 +1468,31 @@ let step t =
      die with it. Never entered by a machine that cannot crash, keeping
      fault-free runs byte-identical to builds without the plane. *)
   if t.crash_used then crash_tick t;
-  (* 1. Deliver the network, straight into the destination pools (the
-     delivered task's lineage ticket rides along as its pool stamp). *)
-  Network.deliver_into t.net ~now:t.now ~push:(fun pe stamp task ->
-      Pool.push ~stamp t.pools.(pe) task);
+  (* 1. Deliver the network (the delivered task's lineage ticket rides
+     along as its pool stamp). When this step's budgets run buffered,
+     each task lands in its destination PE's inbox and the PE's shard
+     pushes it into the pool: a push touches only the destination pool
+     and reads vertex classes nothing writes during execution, so the
+     per-task pool work runs sharded instead of here. Otherwise it goes
+     straight into the pool. Either way a pool sees the same pushes in
+     the same order. *)
+  let buffered =
+    buffered_ok t
+    && (t.now >= t.paused_until
+       || match t.cyc with Some c -> Cycle.phase c <> Cycle.Idle | None -> false)
+  in
+  Network.deliver_into t.net ~now:t.now
+    ~push:
+      (if buffered then (fun pe stamp task ->
+         let ctx = t.ctxs.(pe) in
+         Vec.push ctx.inbox task;
+         Vec.push ctx.inbox_stamps stamp)
+       else fun pe stamp task -> Pool.push_stamped t.pools.(pe) ~stamp task);
   flush_rc_purge t;
   let p1 = Profile.now () in
   let w1 = Profile.words () in
-  t.prof.Profile.transport_ns <- t.prof.Profile.transport_ns +. (p1 -. p0);
-  t.prof.Profile.transport_mw <- t.prof.Profile.transport_mw +. (w1 -. w0);
+  t.prof.Profile.Sums.transport_ns <- t.prof.Profile.Sums.transport_ns +. (p1 -. p0);
+  t.prof.Profile.Sums.transport_mw <- t.prof.Profile.Sums.transport_mw +. (w1 -. w0);
   (* 2. Execute, unless the machine is paused by a collection. Marking
      tasks are lightweight (§6: "bounded amount of time once the required
      vertices are accessed") and get their own per-step budget so GC
@@ -1461,14 +1506,14 @@ let step t =
     if t.domains > 1 then run_parallel t (fun d -> run_shard t d) else run_shard t 0;
     let p2 = Profile.now () in
     let w2 = Profile.words () in
-    t.prof.Profile.execute_ns <- t.prof.Profile.execute_ns +. (p2 -. p1);
-    t.prof.Profile.execute_mw <- t.prof.Profile.execute_mw +. (w2 -. w1);
+    t.prof.Profile.Sums.execute_ns <- t.prof.Profile.Sums.execute_ns +. (p2 -. p1);
+    t.prof.Profile.Sums.execute_mw <- t.prof.Profile.Sums.execute_mw +. (w2 -. w1);
     merge_buffered t;
-    t.prof.Profile.merge_ns <- t.prof.Profile.merge_ns +. (Profile.now () -. p2);
-    t.prof.Profile.merge_mw <- t.prof.Profile.merge_mw +. (Profile.words () -. w2)
+    t.prof.Profile.Sums.merge_ns <- t.prof.Profile.Sums.merge_ns +. (Profile.now () -. p2);
+    t.prof.Profile.Sums.merge_mw <- t.prof.Profile.Sums.merge_mw +. (Profile.words () -. w2)
   in
   if t.now >= t.paused_until then begin
-    if buffered_ok t then buffered_exec ()
+    if buffered then buffered_exec ()
     else begin
       for pe = 0 to t.num_pes - 1 do
         (* A crashed PE executes nothing (and rolls no stall dice) until
@@ -1502,14 +1547,11 @@ let step t =
       (* Serial-only execution (faults / RC): counted apart from the
          buffered span — this time is serial by construction and
          sharding cannot touch it. *)
-      t.prof.Profile.sexec_ns <- t.prof.Profile.sexec_ns +. (Profile.now () -. p1);
-      t.prof.Profile.sexec_mw <- t.prof.Profile.sexec_mw +. (Profile.words () -. w1)
+      t.prof.Profile.Sums.sexec_ns <- t.prof.Profile.Sums.sexec_ns +. (Profile.now () -. p1);
+      t.prof.Profile.Sums.sexec_mw <- t.prof.Profile.Sums.sexec_mw +. (Profile.words () -. w1)
     end
   end
-  else if
-    buffered_ok t
-    && match t.cyc with Some c -> Cycle.phase c <> Cycle.Idle | None -> false
-  then begin
+  else if buffered then begin
     (* Epoch overlap: the machine is paused for cycle N's restructure,
        but cycle N+1's mark wave has already opened — its tasks carry the
        new epoch and touch nothing the pause protects, so the marking
@@ -1542,8 +1584,8 @@ let step t =
   | None -> ());
   let p4 = Profile.now () in
   let w4 = Profile.words () in
-  t.prof.Profile.gc_ns <- t.prof.Profile.gc_ns +. (p4 -. p3);
-  t.prof.Profile.gc_mw <- t.prof.Profile.gc_mw +. (w4 -. w3);
+  t.prof.Profile.Sums.gc_ns <- t.prof.Profile.Sums.gc_ns +. (p4 -. p3);
+  t.prof.Profile.Sums.gc_mw <- t.prof.Profile.Sums.gc_mw +. (w4 -. w3);
   (* 4. Bookkeeping. *)
   (match (Reducer.finished t.red, t.m.Metrics.completion_step) with
   | true, None ->
@@ -1582,11 +1624,11 @@ let step t =
   t.m.Metrics.steps <- t.m.Metrics.steps + 1;
   let p5 = Profile.now () in
   let w5 = Profile.words () in
-  t.prof.Profile.book_ns <- t.prof.Profile.book_ns +. (p5 -. p4);
-  t.prof.Profile.book_mw <- t.prof.Profile.book_mw +. (w5 -. w4);
-  t.prof.Profile.total_ns <- t.prof.Profile.total_ns +. (p5 -. p0);
-  t.prof.Profile.total_mw <- t.prof.Profile.total_mw +. (w5 -. w0);
-  t.prof.Profile.steps <- t.prof.Profile.steps + 1
+  t.prof.Profile.Sums.book_ns <- t.prof.Profile.Sums.book_ns +. (p5 -. p4);
+  t.prof.Profile.Sums.book_mw <- t.prof.Profile.Sums.book_mw +. (w5 -. w4);
+  t.prof.Profile.Sums.total_ns <- t.prof.Profile.Sums.total_ns +. (p5 -. p0);
+  t.prof.Profile.Sums.total_mw <- t.prof.Profile.Sums.total_mw +. (w5 -. w0);
+  t.prof_steps <- t.prof_steps + 1
 
 let result t = t.red.Reducer.result
 

@@ -614,15 +614,15 @@ let deliver_into t ~now ~push =
     flush_ideal t;
     (* Fast path: the idealized channel is a single peek/pop loop with
        no frame bookkeeping — the unboxed [min_prio]/[pop_tagged_with]
-       pair pops due frames without building options or tuples — and
+       pair pops due frames without building options or tuples, and the
+       pop callback is built once per step, not once per frame — and
        [Deliver] event records are only constructed when a recorder is
        attached. *)
-    while
-      Pqueue.min_prio t.q ~default:max_int <= now
-      && Pqueue.pop_tagged_with t.q (fun b _stamp ->
-             deliver_batch t b ~now ~push;
-             recycle_batch t b)
-    do
+    let deliver b _stamp =
+      deliver_batch t b ~now ~push;
+      recycle_batch t b
+    in
+    while Pqueue.min_prio t.q ~default:max_int <= now && Pqueue.pop_tagged_with t.q deliver do
       ()
     done
   | Some f ->

@@ -33,7 +33,8 @@ let class_of g v = if Graph.mem g v then (Vertex.sched_prior (Graph.vertex g v))
    known; otherwise inherit from the source, capped by the request's own
    (relative) demand — a task spawned from an eager region stays eager no
    matter how "vital" it is locally (§3.2). Fresh regions with no
-   classified source fall back to the relative demand. *)
+   classified source fall back to the relative demand. [src] is [-1]
+   when the request has no source (unboxed: this runs once per push). *)
 let request_class g ~src ~dst ~demand =
   match demand with
   | Demand.Vital ->
@@ -42,10 +43,7 @@ let request_class g ~src ~dst ~demand =
     3
   | Demand.Eager -> (
     match class_of g dst with
-    | 0 -> (
-      match src with
-      | Some s when class_of g s > 0 -> Int.min (class_of g s) 2
-      | Some _ | None -> 2)
+    | 0 -> if src >= 0 && class_of g src > 0 then Int.min (class_of g src) 2 else 2
     | c -> c)
 
 let priority_of policy g task =
@@ -60,7 +58,7 @@ let priority_of policy g task =
       let cls =
         match dst with
         | None -> 3
-        | Some d -> request_class g ~src:(Some src) ~dst:d ~demand
+        | Some d -> request_class g ~src ~dst:d ~demand
       in
       match cls with 3 -> 1 | 2 -> 3 | _ -> 5))
   | Task.Reduction (Task.Request { src; dst; demand; _ }) -> (
@@ -68,6 +66,7 @@ let priority_of policy g task =
     | Flat -> 2
     | By_demand -> ( match demand with Demand.Vital -> 2 | Demand.Eager -> 4)
     | Dynamic -> (
+      let src = match src with Some s -> s | None -> -1 in
       match request_class g ~src ~dst ~demand with 3 -> 2 | 2 -> 4 | _ -> 5))
 
 let create ?recorder ?lineage ?(pe = 0) policy g =
@@ -81,9 +80,11 @@ let create ?recorder ?lineage ?(pe = 0) policy g =
     lineage;
   }
 
-let push ?(stamp = -1) t task =
+let push_stamped t ~stamp task =
   let q = match task with Task.Marking _ -> t.marking | Task.Reduction _ -> t.reduction in
   Pqueue.add_tagged q (priority_of t.policy t.g task) ~tag:stamp task
+
+let push t task = push_stamped t ~stamp:(-1) task
 
 let pop_stamped t =
   match Pqueue.pop_tagged t.reduction with

@@ -30,11 +30,15 @@ val create :
 (** [pe] (default 0) is the owning PE's index, used only to stamp trace
     events; with a recorder, {!purge} emits a [Purge] event per non-empty
     sweep. With a [lineage] store, {!purge} releases the tickets of the
-    tasks it expunges (stamps ride queue tags; see {!push}). *)
+    tasks it expunges (stamps ride queue tags; see {!push_stamped}). *)
 
-val push : ?stamp:int -> t -> Task.t -> unit
-(** [stamp] (default [-1]) is the task's lineage ticket; it rides the
-    queue untouched and comes back out of {!pop_stamped}. *)
+val push : t -> Task.t -> unit
+(** Enqueue an untracked task ({!push_stamped} with stamp [-1]). *)
+
+val push_stamped : t -> stamp:int -> Task.t -> unit
+(** [stamp] is the task's lineage ticket ([-1]: untracked); it rides the
+    queue untouched and comes back out of {!pop_stamped}. Allocates
+    nothing once the pool's queue has grown to its working depth. *)
 
 val pop : t -> Task.t option
 (** Highest-priority reduction task, falling back to marking work when no

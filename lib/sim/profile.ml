@@ -2,12 +2,13 @@
    time.
 
    Each engine step is bracketed into phases — transport (network flush
-   and delivery), execution (the per-PE budget loops, the only span the
-   sharded engine runs in parallel), barrier merge (sub-recorder drain,
-   metric absorption, mailbox flush, controller replay), GC control,
-   and bookkeeping (counter sync, watchdogs, sampling). Within the
-   execution span the budget loops further split their time into
-   marking and reduction work.
+   and delivery), execution (the per-PE budget loops, on a buffered
+   step preceded by each PE's pushes of its delivered tasks into its
+   pool: the only span the sharded engine runs in parallel), barrier
+   merge (sub-recorder drain, metric absorption, mailbox flush,
+   controller replay), GC control, and bookkeeping (counter sync,
+   watchdogs, sampling). Within the execution span the budget loops
+   further split their time into marking and reduction work.
 
    Alongside each wall-clock span the same brackets accumulate
    [Gc.minor_words] deltas, attributing the engine's minor-heap traffic
@@ -57,7 +58,9 @@ type t = {
   mutable gc_ns : float;
   mutable book_ns : float;
   mutable restr_ns : float;  (* inside gc: restructure's sharded home passes *)
-  mutable mark_ns : float;  (* inside execute: marking budget loops *)
+  mutable mark_ns : float;
+      (* inside execute: pool pushes of the step's deliveries, then the
+         marking budget loops *)
   mutable red_ns : float;  (* inside execute: reduction budget loops *)
   mutable total_mw : float;  (* minor words, same brackets as the ns spans *)
   mutable transport_mw : float;
@@ -68,32 +71,91 @@ type t = {
   mutable book_mw : float;
 }
 
-let create () =
+(* The engine's running sums. Every field is a float, so the record is
+   laid out flat and an update stores an unboxed double: it allocates
+   nothing. In [t], whose [steps] is an int, each float field points at
+   a boxed float and every update would allocate one. *)
+module Sums = struct
+  type t = {
+    mutable total_ns : float;
+    mutable transport_ns : float;
+    mutable execute_ns : float;
+    mutable sexec_ns : float;
+    mutable merge_ns : float;
+    mutable drain_ns : float;
+    mutable absorb_ns : float;
+    mutable close_ns : float;
+    mutable pflush_ns : float;
+    mutable flush_ns : float;
+    mutable replay_ns : float;
+    mutable gc_ns : float;
+    mutable book_ns : float;
+    mutable restr_ns : float;
+    mutable mark_ns : float;
+    mutable red_ns : float;
+    mutable total_mw : float;
+    mutable transport_mw : float;
+    mutable execute_mw : float;
+    mutable sexec_mw : float;
+    mutable merge_mw : float;
+    mutable gc_mw : float;
+    mutable book_mw : float;
+  }
+
+  let create () =
+    {
+      total_ns = 0.0;
+      transport_ns = 0.0;
+      execute_ns = 0.0;
+      sexec_ns = 0.0;
+      merge_ns = 0.0;
+      drain_ns = 0.0;
+      absorb_ns = 0.0;
+      close_ns = 0.0;
+      pflush_ns = 0.0;
+      flush_ns = 0.0;
+      replay_ns = 0.0;
+      gc_ns = 0.0;
+      book_ns = 0.0;
+      restr_ns = 0.0;
+      mark_ns = 0.0;
+      red_ns = 0.0;
+      total_mw = 0.0;
+      transport_mw = 0.0;
+      execute_mw = 0.0;
+      sexec_mw = 0.0;
+      merge_mw = 0.0;
+      gc_mw = 0.0;
+      book_mw = 0.0;
+    }
+end
+
+let of_sums ~steps (s : Sums.t) =
   {
-    steps = 0;
-    total_ns = 0.0;
-    transport_ns = 0.0;
-    execute_ns = 0.0;
-    sexec_ns = 0.0;
-    merge_ns = 0.0;
-    drain_ns = 0.0;
-    absorb_ns = 0.0;
-    close_ns = 0.0;
-    pflush_ns = 0.0;
-    flush_ns = 0.0;
-    replay_ns = 0.0;
-    gc_ns = 0.0;
-    book_ns = 0.0;
-    restr_ns = 0.0;
-    mark_ns = 0.0;
-    red_ns = 0.0;
-    total_mw = 0.0;
-    transport_mw = 0.0;
-    execute_mw = 0.0;
-    sexec_mw = 0.0;
-    merge_mw = 0.0;
-    gc_mw = 0.0;
-    book_mw = 0.0;
+    steps;
+    total_ns = s.Sums.total_ns;
+    transport_ns = s.Sums.transport_ns;
+    execute_ns = s.Sums.execute_ns;
+    sexec_ns = s.Sums.sexec_ns;
+    merge_ns = s.Sums.merge_ns;
+    drain_ns = s.Sums.drain_ns;
+    absorb_ns = s.Sums.absorb_ns;
+    close_ns = s.Sums.close_ns;
+    pflush_ns = s.Sums.pflush_ns;
+    flush_ns = s.Sums.flush_ns;
+    replay_ns = s.Sums.replay_ns;
+    gc_ns = s.Sums.gc_ns;
+    book_ns = s.Sums.book_ns;
+    restr_ns = s.Sums.restr_ns;
+    mark_ns = s.Sums.mark_ns;
+    red_ns = s.Sums.red_ns;
+    total_mw = s.Sums.total_mw;
+    transport_mw = s.Sums.transport_mw;
+    execute_mw = s.Sums.execute_mw;
+    sexec_mw = s.Sums.sexec_mw;
+    merge_mw = s.Sums.merge_mw;
+    gc_mw = s.Sums.gc_mw;
+    book_mw = s.Sums.book_mw;
   }
 
 let now () = Unix.gettimeofday () *. 1e9

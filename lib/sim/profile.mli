@@ -50,7 +50,40 @@ type t = {
   mutable book_mw : float;
 }
 
-val create : unit -> t
+(** The running sums {!t} is read from: the same float fields, flat, so
+    the engine's per-phase updates allocate nothing. *)
+module Sums : sig
+  type t = {
+    mutable total_ns : float;
+    mutable transport_ns : float;
+    mutable execute_ns : float;
+    mutable sexec_ns : float;
+    mutable merge_ns : float;
+    mutable drain_ns : float;
+    mutable absorb_ns : float;
+    mutable close_ns : float;
+    mutable pflush_ns : float;
+    mutable flush_ns : float;
+    mutable replay_ns : float;
+    mutable gc_ns : float;
+    mutable book_ns : float;
+    mutable restr_ns : float;
+    mutable mark_ns : float;
+    mutable red_ns : float;
+    mutable total_mw : float;
+    mutable transport_mw : float;
+    mutable execute_mw : float;
+    mutable sexec_mw : float;
+    mutable merge_mw : float;
+    mutable gc_mw : float;
+    mutable book_mw : float;
+  }
+
+  val create : unit -> t
+end
+
+(** [of_sums ~steps s] is a {!t} holding [s]'s current sums. *)
+val of_sums : steps:int -> Sums.t -> t
 
 (** Monotonic-enough wall clock in nanoseconds (the engine only ever
     differences readings taken microseconds apart). *)

@@ -2,7 +2,12 @@
 
     Used for PE task pools (lower priority value = served first) and the
     simulator's event ordering. Ties are broken by insertion order (FIFO),
-    which keeps simulator runs deterministic. *)
+    which keeps simulator runs deterministic.
+
+    The heap sifts int columns only; values and tags sit in a slot slab
+    written once per insertion, so sifting runs no write barrier. Once
+    capacity is reached, [add_tagged] and {!pop_tagged_with} allocate
+    nothing. *)
 
 type 'a t
 
@@ -43,14 +48,19 @@ val min_prio : 'a t -> default:int -> int
 val clear : 'a t -> unit
 
 val iter : (int -> 'a -> unit) -> 'a t -> unit
-(** Iteration order is unspecified. *)
+(** Visits entries in heap-array order: not sorted, but a deterministic
+    function of the operation sequence since {!create} (or {!clear}).
+    The cycle's taskroot seeding ([Cycle.seed_endpoints]) relies on this
+    order; any change to the heap's shape changes what it seeds first. *)
 
 val to_sorted_list : 'a t -> (int * 'a) list
 (** Pop order without popping: ascending priority, FIFO among ties.
     O(n log n) — for deterministic external views (traces, debugging). *)
 
 val filter_in_place : (int -> 'a -> bool) -> 'a t -> unit
-(** Keep only entries satisfying the predicate. O(n log n). *)
+(** Keep only entries satisfying the predicate, calling it once per
+    entry in heap-array order. O(n): compaction plus a bottom-up
+    heapify. *)
 
 val filter_tagged_in_place : (int -> int -> 'a -> bool) -> 'a t -> unit
 (** Like {!filter_in_place} but the predicate also sees each entry's
@@ -58,5 +68,6 @@ val filter_tagged_in_place : (int -> int -> 'a -> bool) -> 'a t -> unit
     (lineage tickets) for the entries being discarded. *)
 
 val map_priorities : (int -> 'a -> int) -> 'a t -> unit
-(** Recompute every entry's priority (rebuilds the heap; preserves FIFO
-    ranks so equal-priority entries keep their relative order). *)
+(** Recompute every entry's priority, in heap-array order, then rebuild
+    the heap bottom-up — O(n). FIFO ranks are preserved, so
+    equal-priority entries keep their relative order. *)

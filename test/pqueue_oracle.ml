@@ -1,0 +1,182 @@
+(* Test oracle: the parallel-array binary heap [Dgr_util.Pqueue] used
+   to be. Every column — priority, FIFO rank, tag and value — moves with
+   each swap, so it is the direct reading of the heap's specification.
+   The slot-slab heap must match it operation for operation: the same
+   pop sequence and the same [iter] (heap-array) order, which the
+   cycle's taskroot seeding depends on. *)
+
+type 'a t = {
+  mutable prio : int array;
+  mutable rank : int array;
+  mutable tag : int array;
+  mutable vals : 'a array;
+  mutable len : int;
+  mutable next_rank : int;
+}
+
+let create () =
+  { prio = [||]; rank = [||]; tag = [||]; vals = [||]; len = 0; next_rank = 0 }
+
+let length q = q.len
+
+let is_empty q = q.len = 0
+
+(* [x] seeds the new value array's filler, keeping the representation
+   correct for any 'a (including float). *)
+let grow q x =
+  let cap = Array.length q.vals in
+  let cap' = if cap = 0 then 8 else cap * 2 in
+  let prio' = Array.make cap' 0 in
+  let rank' = Array.make cap' 0 in
+  let tag' = Array.make cap' (-1) in
+  let vals' = Array.make cap' x in
+  Array.blit q.prio 0 prio' 0 q.len;
+  Array.blit q.rank 0 rank' 0 q.len;
+  Array.blit q.tag 0 tag' 0 q.len;
+  Array.blit q.vals 0 vals' 0 q.len;
+  q.prio <- prio';
+  q.rank <- rank';
+  q.tag <- tag';
+  q.vals <- vals'
+
+let less q i j =
+  let pi = q.prio.(i) and pj = q.prio.(j) in
+  pi < pj || (pi = pj && q.rank.(i) < q.rank.(j))
+
+let swap q i j =
+  let p = q.prio.(i) in
+  q.prio.(i) <- q.prio.(j);
+  q.prio.(j) <- p;
+  let r = q.rank.(i) in
+  q.rank.(i) <- q.rank.(j);
+  q.rank.(j) <- r;
+  let g = q.tag.(i) in
+  q.tag.(i) <- q.tag.(j);
+  q.tag.(j) <- g;
+  let v = q.vals.(i) in
+  q.vals.(i) <- q.vals.(j);
+  q.vals.(j) <- v
+
+let rec sift_up q i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if less q i parent then begin
+      swap q i parent;
+      sift_up q parent
+    end
+  end
+
+let rec sift_down q i =
+  let n = q.len in
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let smallest = ref i in
+  if l < n && less q l !smallest then smallest := l;
+  if r < n && less q r !smallest then smallest := r;
+  if !smallest <> i then begin
+    swap q i !smallest;
+    sift_down q !smallest
+  end
+
+let add_tagged q prio ~tag value =
+  if q.len = Array.length q.vals then grow q value;
+  let i = q.len in
+  q.prio.(i) <- prio;
+  q.rank.(i) <- q.next_rank;
+  q.tag.(i) <- tag;
+  q.vals.(i) <- value;
+  q.next_rank <- q.next_rank + 1;
+  q.len <- i + 1;
+  sift_up q i
+
+let add q prio value = add_tagged q prio ~tag:(-1) value
+
+let pop_tagged q =
+  if q.len = 0 then None
+  else begin
+    let p = q.prio.(0) and g = q.tag.(0) and v = q.vals.(0) in
+    let n = q.len - 1 in
+    q.len <- n;
+    if n > 0 then begin
+      q.prio.(0) <- q.prio.(n);
+      q.rank.(0) <- q.rank.(n);
+      q.tag.(0) <- q.tag.(n);
+      q.vals.(0) <- q.vals.(n);
+      sift_down q 0
+    end;
+    Some (p, g, v)
+  end
+
+let pop q =
+  match pop_tagged q with None -> None | Some (p, _, v) -> Some (p, v)
+
+(* Callback form of [pop_tagged] for per-pop hot loops: no option or
+   tuple is built. The heap invariant is restored before [f] runs, so
+   [f] may re-enter [add_tagged]. *)
+let pop_tagged_with q f =
+  if q.len = 0 then false
+  else begin
+    let g = q.tag.(0) and v = q.vals.(0) in
+    let n = q.len - 1 in
+    q.len <- n;
+    if n > 0 then begin
+      q.prio.(0) <- q.prio.(n);
+      q.rank.(0) <- q.rank.(n);
+      q.tag.(0) <- q.tag.(n);
+      q.vals.(0) <- q.vals.(n);
+      sift_down q 0
+    end;
+    f v g;
+    true
+  end
+
+let peek q = if q.len = 0 then None else Some (q.prio.(0), q.vals.(0))
+
+(* Unboxed peek at the minimum priority for hot drain loops that only
+   need to compare it against a threshold before committing to a pop. *)
+let min_prio q ~default = if q.len = 0 then default else q.prio.(0)
+
+let clear q = q.len <- 0
+
+let iter f q =
+  for i = 0 to q.len - 1 do
+    f q.prio.(i) q.vals.(i)
+  done
+
+let to_sorted_list q =
+  let idx = Array.init q.len (fun i -> i) in
+  Array.sort
+    (fun a b ->
+      match Int.compare q.prio.(a) q.prio.(b) with
+      | 0 -> Int.compare q.rank.(a) q.rank.(b)
+      | c -> c)
+    idx;
+  Array.fold_right (fun i acc -> (q.prio.(i), q.vals.(i)) :: acc) idx []
+
+let heapify q =
+  for i = (q.len / 2) - 1 downto 0 do
+    sift_down q i
+  done
+
+let filter_tagged_in_place p q =
+  let j = ref 0 in
+  for i = 0 to q.len - 1 do
+    if p q.prio.(i) q.tag.(i) q.vals.(i) then begin
+      if !j <> i then begin
+        q.prio.(!j) <- q.prio.(i);
+        q.rank.(!j) <- q.rank.(i);
+        q.tag.(!j) <- q.tag.(i);
+        q.vals.(!j) <- q.vals.(i)
+      end;
+      incr j
+    end
+  done;
+  q.len <- !j;
+  heapify q
+
+let filter_in_place p q = filter_tagged_in_place (fun prio _ v -> p prio v) q
+
+let map_priorities f q =
+  for i = 0 to q.len - 1 do
+    q.prio.(i) <- f q.prio.(i) q.vals.(i)
+  done;
+  heapify q

@@ -184,19 +184,78 @@ let test_mailbox_post_alloc_free () =
     (Printf.sprintf "%.0f minor words over %d warm posts" words posts)
     true (words < 16.0)
 
+(* A warm task heap (its columns and slab already sized) adds and pops
+   without allocating: sifting moves ints, and the pop hands the value
+   to a callback instead of building an option. *)
+let test_pqueue_round_alloc_free () =
+  let q = Pqueue.create () in
+  let tasks =
+    Array.init 64 (fun i ->
+        Task.Reduction (Task.Request { src = Some i; dst = i + 1; demand = Demand.Eager; key = i }))
+  in
+  let popped = ref 0 in
+  let f _task tag = popped := !popped + tag in
+  let round () =
+    for i = 1 to 4_096 do
+      Pqueue.add_tagged q ((i * 7919) land 15) ~tag:1 tasks.(i land 63)
+    done;
+    while Pqueue.pop_tagged_with q f do
+      ()
+    done
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "popped every entry" 8_192 !popped;
+  Alcotest.(check (float 0.0)) "minor words over a warm add/pop round" 0.0 words
+
+(* Vertex lookup is O(1) arithmetic over the segment's chunks — no
+   loop, no (chunk, offset) tuple — on the dense prefix and the
+   partitioned per-home segments alike. *)
+let test_graph_vertex_alloc_free () =
+  let spec =
+    { Builder.live = 50_000; garbage = 12_500; free_pool = 0; avg_degree = 2.5; cycle_bias = 0.15 }
+  in
+  let g = Builder.random ~num_pes:8 (Rng.create 1) spec in
+  Graph.partition g ~pes:8;
+  for pe = 0 to 7 do
+    for _ = 1 to 700 do
+      ignore (Graph.alloc ~from:pe g (Label.Prim Label.Add))
+    done
+  done;
+  let n = Graph.vertex_count g in
+  Alcotest.(check bool) "62.5k vertices and fresh slots" true (n >= 62_500 + 5_600);
+  let vids = Array.make n 0 and k = ref 0 in
+  Graph.iter_all
+    (fun v ->
+      vids.(!k) <- Vertex.id v;
+      incr k)
+    g;
+  let pes = ref 0 in
+  let sweep () =
+    for i = 0 to n - 1 do
+      pes := !pes + Vertex.pe (Graph.vertex g (Array.unsafe_get vids i))
+    done
+  in
+  sweep ();
+  let w0 = Gc.minor_words () in
+  sweep ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) (Printf.sprintf "minor words over %d lookups" n) 0.0 words
+
 (* --- the stuck set --------------------------------------------------- *)
 
 (* The storm-tree-8k machine of [dgr bench]: a random operator graph
    with no templates, so over a thousand vertices get stuck (unknown
    function, arity errors, malformed ifs, dangling indirections). *)
-let storm_engine ~domains =
+let storm_engine_with ~gc ~domains =
   let spec =
     { Builder.live = 8_000; garbage = 2_000; free_pool = 64; avg_degree = 2.5; cycle_bias = 0.15 }
   in
   let config =
-    Engine.Config.make ~num_pes:8
-      ~gc:(Engine.Concurrent { deadlock_every = 1; idle_gap = 30 })
-      ~heap_size:None ~marking:Dgr_core.Cycle.Tree ~seed:11 ~domains ()
+    Engine.Config.make ~num_pes:8 ~gc ~heap_size:None ~marking:Dgr_core.Cycle.Tree ~seed:11
+      ~domains ()
   in
   let g = Builder.random ~num_pes:8 (Rng.create 11) spec in
   let e = Engine.create ~config g (Dgr_reduction.Template.create_registry ()) in
@@ -205,6 +264,9 @@ let storm_engine ~domains =
     (fun i v -> if i mod 8 = 0 then Engine.inject e (Task.request v Demand.Eager))
     (Graph.live_vids g);
   e
+
+let storm_engine ~domains =
+  storm_engine_with ~gc:(Engine.Concurrent { deadlock_every = 1; idle_gap = 30 }) ~domains
 
 let stuck_digest l =
   Digest.to_hex
@@ -261,6 +323,32 @@ let test_stuck_set_bounded () =
   Alcotest.(check int) "storm-tree-8k stuck before the first cycle" 1257 !before_first;
   Alcotest.(check int) "reclaimed stuck vertices dropped" 1032
     (Dgr_reduction.Reducer.stuck_count red)
+
+(* The same under the stop-the-world baseline: each collection's
+   reclaimed vertices leave the set too. The first collection falls
+   after the garbage's eager requests got stuck (the concurrent cycle
+   above drops the same 225); the second reclaims nothing. *)
+let test_stw_stuck_set_bounded () =
+  let e = storm_engine_with ~gc:(Engine.Stop_the_world { every = 1500 }) ~domains:1 in
+  let g = Engine.graph e in
+  let red = Engine.reducer e in
+  let collections () = (Engine.metrics e).Metrics.stw_collections in
+  let dropped = ref [] in
+  while collections () < 2 do
+    let c = collections () in
+    let before = Dgr_reduction.Reducer.stuck red in
+    Engine.step e;
+    if collections () > c then begin
+      List.iter
+        (fun (v, _) ->
+          Alcotest.(check bool) (Printf.sprintf "collection %d: v%d is live" (c + 1) v) false
+            (Graph.is_free g v))
+        (Dgr_reduction.Reducer.stuck red);
+      dropped := List.length (List.filter (fun (v, _) -> Graph.is_free g v) before) :: !dropped
+    end
+  done;
+  Alcotest.(check (list int)) "stuck garbage dropped by each collection" [ 225; 0 ]
+    (List.rev !dropped)
 
 (* The set keeps the first reason; a per-PE reducer's report reaches
    the shared set only at [absorb] and is skipped once merged; a
@@ -401,6 +489,11 @@ let suite =
     Alcotest.test_case "stuck set equal at 1/2/4 domains, = old list" `Quick
       test_stuck_set_across_domains;
     Alcotest.test_case "stuck set drops reclaimed vertices" `Quick test_stuck_set_bounded;
+    Alcotest.test_case "stuck set drops stop-the-world garbage" `Quick
+      test_stw_stuck_set_bounded;
+    Alcotest.test_case "warm task-heap add/pop allocates nothing" `Quick
+      test_pqueue_round_alloc_free;
+    Alcotest.test_case "Graph.vertex allocates nothing" `Quick test_graph_vertex_alloc_free;
     Alcotest.test_case "a failing shard raises from step, never hangs" `Quick
       test_shard_failure_surfaces;
     Alcotest.test_case "stuck set: first reason, barrier merge, recycling" `Quick

@@ -34,6 +34,77 @@ let prop_pqueue_filter =
       in
       popped = model)
 
+(* The slot-slab heap against the parallel-array heap it replaced
+   (test/pqueue_oracle.ml): random interleavings of every mutating
+   operation must produce the same pops, the same [iter] order (heap
+   array order, which taskroot seeding depends on) and the same
+   predicate/priority callback order. Values are boxed strings. *)
+module type HEAP = sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val length : 'a t -> int
+  val add_tagged : 'a t -> int -> tag:int -> 'a -> unit
+  val pop_tagged : 'a t -> (int * int * 'a) option
+  val pop_tagged_with : 'a t -> ('a -> int -> unit) -> bool
+  val min_prio : 'a t -> default:int -> int
+  val filter_tagged_in_place : (int -> int -> 'a -> bool) -> 'a t -> unit
+  val map_priorities : (int -> 'a -> int) -> 'a t -> unit
+  val clear : 'a t -> unit
+  val iter : (int -> 'a -> unit) -> 'a t -> unit
+end
+
+let heap_trace (module H : HEAP) ops =
+  let q = H.create () in
+  let out = Buffer.create 256 in
+  let emit p g v = Buffer.add_string out (Printf.sprintf "%d/%d/%s;" p g v) in
+  let next = ref 0 in
+  let add p g =
+    incr next;
+    H.add_tagged q p ~tag:g (string_of_int !next)
+  in
+  List.iter
+    (fun (op, a, b) ->
+      (match op with
+      | 0 | 1 | 2 | 3 -> add a b
+      | 4 ->
+        let p = H.min_prio q ~default:(-1) in
+        ignore (H.pop_tagged_with q (fun v g -> emit p g v))
+      | 5 -> (
+        match H.pop_tagged q with Some (p, g, v) -> emit p g v | None -> emit (-1) 0 "")
+      | 6 ->
+        (* pop, and re-enter the heap from inside the callback *)
+        let p = H.min_prio q ~default:(-1) in
+        ignore
+          (H.pop_tagged_with q (fun v g ->
+               emit p g v;
+               add (p + b) g))
+      | 7 ->
+        H.filter_tagged_in_place
+          (fun p g v ->
+            emit p g v;
+            (p + g + b) mod 3 <> 0)
+          q
+      | 8 ->
+        H.map_priorities
+          (fun p v ->
+            emit p 0 v;
+            ((p * a) + b) mod 8)
+          q
+      | _ -> if b < 2 then H.clear q else H.iter (fun p v -> emit p 0 v) q);
+      Buffer.add_string out (Printf.sprintf "|%d|" (H.length q)))
+    ops;
+  while H.pop_tagged_with q (fun v g -> emit 0 g v) do
+    ()
+  done;
+  Buffer.contents out
+
+let prop_pqueue_oracle =
+  QCheck.Test.make ~name:"slot-slab pqueue = parallel-array oracle" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 400) (triple (int_bound 9) (int_bound 7) (int_bound 20)))
+    (fun ops ->
+      heap_trace (module Pqueue) ops = heap_trace (module Pqueue_oracle) ops)
+
 let prop_vec_model =
   QCheck.Test.make ~name:"vec behaves like a list" ~count:200
     QCheck.(list small_int)
@@ -274,6 +345,7 @@ let suite =
   [
     qtest prop_pqueue_model;
     qtest prop_pqueue_filter;
+    qtest prop_pqueue_oracle;
     qtest prop_vec_model;
     qtest prop_rng_shuffle_permutes;
     qtest prop_basic_marking_equals_reachability;
