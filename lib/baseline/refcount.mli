@@ -11,7 +11,9 @@ open Dgr_graph
     RC pays that tracing does not). When a non-root vertex's count drops
     to zero it is reclaimed immediately and its outgoing references are
     decremented in cascade. Cyclic structures never reach zero — which is
-    exactly what experiment E6 demonstrates. *)
+    exactly what experiment E6 demonstrates. The engine delivers a step's
+    mutations to {!on_connect}/{!on_disconnect} at its step barrier, all
+    increments before any decrement (see [Dgr_sim.Engine.step]). *)
 
 type t
 

@@ -116,21 +116,10 @@ let release t slot =
   t.free_top <- t.free_top + 1;
   t.in_flight <- t.in_flight - 1
 
-let close t slot ~now =
-  let lin = t.lin.(slot) in
-  if lin >= 0 then begin
-    if now > t.l_last.(lin) then t.l_last.(lin) <- now;
-    t.l_tasks.(lin) <- t.l_tasks.(lin) + 1;
-    if t.depth.(slot) > t.l_depth.(lin) then t.l_depth.(lin) <- t.depth.(slot)
-  end;
-  t.closed <- t.closed + 1;
-  release t slot
-
-(* Bulk close for the step barrier: one call per shard instead of one
-   [close] per executed task. Reads [slots.(0..len-1)] in order, so the
-   per-lineage aggregates and the LIFO free-stack order are exactly what
-   the equivalent sequence of [close] calls would leave — slot recycling
-   stays a pure function of the close order. *)
+(* Close a PE's executed tickets at the step barrier, in order: fold
+   each into its lineage's aggregates (last execution step, task count,
+   max depth) and push its slot on the LIFO free stack, so slot
+   recycling stays a pure function of the close order. *)
 let close_many t slots ~len ~now =
   for k = 0 to len - 1 do
     let slot = slots.(k) in

@@ -11,7 +11,7 @@
     Slots recycle LIFO, so ticket ids are a pure function of the
     open/close order — deterministic per (config, seed) and identical
     at any domain count. All reads are plain array loads and safe from
-    worker domains; {!open_ticket}, {!close} and {!drop} mutate and
+    worker domains; {!open_ticket}, {!close_many} and {!drop} mutate and
     must only run on the serial (barrier) side. *)
 
 type t
@@ -41,15 +41,10 @@ val arrival_of : t -> int -> int
     executed without an observed delivery. *)
 val delivered_of : t -> int -> int
 
-(** [close t stamp ~now] retires a ticket at execution: folds it into
-    its lineage's aggregates (last execution step, task count, max
-    depth) and recycles the slot. *)
-val close : t -> int -> now:int -> unit
-
-(** [close_many t slots ~len ~now] closes [slots.(0..len-1)] in order —
-    one bulk call per shard at the step barrier, byte-equivalent to
-    [len] successive {!close} calls (same aggregates, same LIFO slot
-    recycling order). *)
+(** [close_many t slots ~len ~now] retires the tickets [slots.(0..len-1)]
+    of executed tasks, in order — one bulk call per PE at the step
+    barrier: each folds into its lineage's aggregates (last execution
+    step, task count, max depth) and its slot is recycled, LIFO. *)
 val close_many : t -> int array -> len:int -> now:int -> unit
 
 (** [drop t stamp] retires a ticket whose task was purged in flight,

@@ -56,49 +56,25 @@ module Config = struct
   let default = make ()
 
   let num_pes t = t.machine.num_pes
-  let latency t = t.network.latency
-  let tasks_per_step t = t.machine.tasks_per_step
-  let marking_per_step t = t.machine.marking_per_step
-  let gc_work_factor t = t.gc.gc_work_factor
-  let heap_size t = t.gc.heap_size
-  let pool_policy t = t.machine.pool_policy
-  let speculate_if t = t.machine.speculate_if
-  let gc t = t.gc.mode
-  let marking t = t.gc.marking
-  let recover_deadlock t = t.gc.recover_deadlock
-  let jitter t = t.network.jitter
   let seed t = t.machine.seed
-  let faults t = t.network.faults
   let domains t = t.machine.domains
-  let batch t = t.network.batch
-
-  let with_num_pes v t = { t with machine = { t.machine with num_pes = v } }
-  let with_latency v t = { t with network = { t.network with latency = v } }
-  let with_tasks_per_step v t = { t with machine = { t.machine with tasks_per_step = v } }
-
-  let with_marking_per_step v t =
-    { t with machine = { t.machine with marking_per_step = v } }
-
-  let with_gc_work_factor v t = { t with gc = { t.gc with gc_work_factor = v } }
-  let with_heap_size v t = { t with gc = { t.gc with heap_size = v } }
-  let with_pool_policy v t = { t with machine = { t.machine with pool_policy = v } }
-  let with_speculate_if v t = { t with machine = { t.machine with speculate_if = v } }
-  let with_gc v t = { t with gc = { t.gc with mode = v } }
-  let with_marking v t = { t with gc = { t.gc with marking = v } }
-  let with_recover_deadlock v t = { t with gc = { t.gc with recover_deadlock = v } }
-  let with_jitter v t = { t with network = { t.network with jitter = v } }
-  let with_seed v t = { t with machine = { t.machine with seed = v } }
-  let with_faults v t = { t with network = { t.network with faults = v } }
   let with_domains v t = { t with machine = { t.machine with domains = v } }
   let with_batch v t = { t with network = { t.network with batch = v } }
 end
 
 type config = Config.t
 
-(* Per-PE execution context for buffered steps. Everything a PE's budget
-   touches during a buffered step lives here (or in graph/pool state only
-   its owner mutates), so shards on different domains share no mutable
-   state until the step barrier merges them in ascending PE order. *)
+(* Refcount traffic deferred to the step barrier: the (parent, child)
+   pairs of every edge a PE (or the controller, during the barrier)
+   added or removed this step, interleaved. *)
+type rc_log = { inc : int Vec.t; dec : int Vec.t }
+
+let rc_log () = { inc = Vec.create (); dec = Vec.create () }
+
+(* Per-PE execution context. Everything a PE's budget touches during a
+   step lives here (or in graph/pool state only its owner mutates), so
+   shards on different domains share no mutable state until the step
+   barrier merges them in ascending PE order. *)
 type pe_ctx = {
   cpe : int;
   crng : Rng.t;  (** scheduling stream [Rng.stream ~seed cpe] *)
@@ -116,14 +92,15 @@ type pe_ctx = {
           its budgets *)
   inbox_stamps : int Vec.t;  (** their lineage stamps, parallel to [inbox] *)
   mutable cexec : (Task.t -> int -> unit) option;
-      (** pre-bound [execute_one_buffered] — built on first use, reused by
-          every budget drain so the inner loop allocates no closures *)
+      (** pre-bound [execute_task] — built on first use, reused by every
+          budget drain so the inner loop allocates no closures *)
   ccoop : Mutator.coop_event Vec.t;
       (** cooperation events this PE's reductions deferred; replayed at
           the barrier in ascending PE order *)
   mutable cemit : (Task.mark -> unit) option;
-      (** pre-bound buffered mark emit ([pe_send] of a [Marking]) — built
-          on first use so the marking inner loop allocates no closures *)
+      (** pre-bound mark emit ([pe_send] of a [Marking]) — built on first
+          use so the marking inner loop allocates no closures *)
+  crc : rc_log;  (** this PE's refcount traffic, applied at the barrier *)
 }
 
 (* The worker pool: [domains - 1] long-lived domains driven by a
@@ -184,8 +161,7 @@ type t = {
           [2d] and [2d + 1], folded into [prof] at the barrier *)
   mutable now : int;
   mutable current_pe : int;  (** PE whose task is executing; -1 = controller *)
-  mutable current_lin : int;  (** lineage of the executing task; -1 = none *)
-  mutable current_depth : int;  (** causal depth the executing task's sends carry *)
+  mutable current_lin : int;  (** lineage of the injecting send; -1 = none *)
   mutable paused_until : int;
   mutable next_cycle_at : int;
   mutable next_stw_at : int;
@@ -195,10 +171,9 @@ type t = {
   stall_until : int array;  (** per PE: first step it executes again *)
   (* Crash plane. [ckpts] is built lazily on the first step that can
      crash (so fault-free machines allocate nothing); [down_since] is -1
-     for a PE that is up. All of it is serial state: any config with
-     [crash > 0] keeps [buffered_ok] false via [flt], and the buffered
-     path only ever {e reads} [down_since] (after an injected crash on an
-     otherwise fault-free machine). *)
+     for a PE that is up. All of it is serial state, written only at the
+     top of a step (the crash tick) or between steps ({!inject_crash});
+     the shards only {e read} [down_since] and [stall_until]. *)
   mutable ckpts : Checkpoint.t array;  (** per-PE segment checkpoints *)
   down_until : int array;  (** per PE: first step it may recover *)
   down_since : int array;  (** per PE: step it crashed; -1 = up *)
@@ -206,6 +181,10 @@ type t = {
       (** crashes possible (spec or injection): run the crash tick *)
   mutable rc_freed_batch : Vid.Set.t;
       (** vertices RC reclaimed since the last batch purge *)
+  rc_ctrl : rc_log;  (** refcount traffic of the barrier's controller replay *)
+  mutable in_step : bool;
+      (** from the shards' start to the barrier's end: refcount hooks log
+          into {!rc_log}s instead of applying *)
   mutable ctxs : pe_ctx array;
   mutable mboxes : Network.Mailbox.mb array;
       (** [ctxs]' mailboxes in PE order, for the sharded barrier flush *)
@@ -223,17 +202,12 @@ type t = {
   mutable emit_mark : Task.mark -> unit;
       (** [send] wrapped for the marker/flood spawn callbacks — allocated
           once so the marking inner loop builds no closures. *)
-  mutable budget_pe : int;
-      (** the PE whose serial budget is draining — read by [exec_cb] *)
-  mutable exec_cb : (Task.t -> int -> unit) option;
-      (** pre-bound [execute_one] over [budget_pe]; built on first use so
-          the serial budget drains allocate no closures *)
   mutable mark_only : bool;
-      (** buffered budgets drain marking only — set while the machine is
+      (** the shards drain marking only — set while the machine is
           paused for restructure but the next wave's marks may flow *)
   mutable coop_sink : Mutator.coop_event -> unit;
       (** routes a deferred cooperation event to the executing PE's
-          context; installed on the mutator around buffered execution *)
+          context; installed on the mutator while the shards run *)
 }
 
 (* Forward reference: restructure's sharded home passes ride the worker
@@ -252,9 +226,10 @@ let pe_of t task =
   let v = Task.exec_vid task in
   if v < 0 then -1 else Vertex.pe (Graph.vertex t.g v)
 
-(* The PE a mutation is charged to for the ownership checker: the
-   domain-local executing PE during buffered steps (the engine never
-   touches [current_pe] from a worker), else the serial [current_pe]. *)
+(* The PE whose budget is running on this domain, -1 outside the
+   shards: it charges mutations for the ownership checker and routes
+   refcount logs (the engine never touches [current_pe] from a worker);
+   outside the shards the serial [current_pe] answers. *)
 let dls_pe : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
 (* A PE's scheduling randomness is its own splitmix stream derived from
@@ -306,33 +281,39 @@ let delay_of t ~rng ~src task pe =
     else base
   end
 
-(* Execute controller-addressed tasks immediately: the final response of
-   the computation, and marking returns to the dummy rootpar. A mark
-   whose epoch is not the handler's wave is debris from a superseded
-   wave (a crash restart, or the previous cycle's tail still draining
-   while this one marks): it is dropped here, at dispatch, so stale
-   tasks never touch a plane or credit a counter. *)
-let rec execute_marking t ~pe m =
+(* Marking dispatch, for the shards and the controller alike. Everything
+   a mark handler touches is either owned by the executing PE (the target
+   vertex's plane state — marks are delivered to the vertex's home) or a
+   per-PE counter slot (run/flood tallies), so marking shards exactly
+   like reduction; the handler table ([Cycle.handler_for_plane]) only
+   changes at serial points, published to workers by the step barrier.
+   A mark whose epoch is not the handler's wave is debris from a
+   superseded wave (a crash restart, or the previous cycle's tail still
+   draining while this one marks): it is dropped here, counted in [m],
+   so stale tasks never touch a plane or credit a counter. *)
+let execute_marking t ~pe ~emit (m : Metrics.t) mark =
   match t.cyc with
   | None -> ()
   | Some c -> (
-    match Cycle.handler_for_plane c (Task.plane_of_mark m) with
+    match Cycle.handler_for_plane c (Task.plane_of_mark mark) with
     | Some (Cycle.Tree_run run) ->
-      if Task.mark_ep m <> run.Run.wave then
-        t.m.Metrics.stale_marks_dropped <- t.m.Metrics.stale_marks_dropped + 1
-      else Marker.execute run ~pe ~emit:t.emit_mark m
+      if Task.mark_ep mark <> run.Run.wave then
+        m.Metrics.stale_marks_dropped <- m.Metrics.stale_marks_dropped + 1
+      else Marker.execute run ~pe ~emit mark
     | Some (Cycle.Flood_run fl) ->
-      if Task.mark_ep m <> fl.Flood.wave then
-        t.m.Metrics.stale_marks_dropped <- t.m.Metrics.stale_marks_dropped + 1
-      else Flood.execute fl ~pe ~emit:t.emit_mark m
+      if Task.mark_ep mark <> fl.Flood.wave then
+        m.Metrics.stale_marks_dropped <- m.Metrics.stale_marks_dropped + 1
+      else Flood.execute fl ~pe ~emit mark
     | None -> () (* stray task from a finished run: drop *))
 
-and execute_at_controller t task =
+(* Controller-addressed tasks execute immediately: the final response of
+   the computation, and marking returns to the dummy rootpar. *)
+let execute_at_controller t task =
   match task with
   | Reduction r -> Reducer.execute t.red r
-  | Marking m -> execute_marking t ~pe:0 m
+  | Marking m -> execute_marking t ~pe:0 ~emit:t.emit_mark t.m m
 
-and send t task =
+let send t task =
   let pe = pe_of t task in
   if pe < 0 then execute_at_controller t task
   else begin
@@ -351,16 +332,14 @@ and send t task =
              remote = pe <> t.current_pe;
              lin = t.current_lin;
            });
-    Network.send ~src:t.current_pe ~lin:t.current_lin ~depth:t.current_depth t.net
-      ~arrival:(t.now + delay) ~pe task
+    Network.send ~src:t.current_pe ~lin:t.current_lin t.net ~arrival:(t.now + delay) ~pe task
   end
 
-(* The buffered counterpart of [send], used while PE budgets run inside a
-   buffered step (possibly on a worker domain): controller tasks are
-   deferred to the barrier, network sends are posted to the PE's private
-   mailbox, and all bookkeeping lands in the context — nothing shared is
-   touched. The delay computation and jitter stream are exactly [send]'s,
-   so a PE's arrival schedule is identical whichever path carried it. *)
+(* A PE's send while its budget runs (possibly on a worker domain):
+   controller tasks are deferred to the barrier, network sends are
+   posted to the PE's private mailbox, and all bookkeeping lands in the
+   context — nothing shared is touched. The delay computation and jitter
+   stream are [send]'s, drawn from the PE's own stream. *)
 let pe_send t ctx task =
   let pe = pe_of t task in
   if pe < 0 then Vec.push ctx.ctrl task
@@ -397,28 +376,28 @@ let purge_for_baseline t pred =
   n
 
 let create ?recorder ?(config = Config.default) g templates =
-  (match config.Config.gc.Config.heap_size with
+  let { Config.machine = mc; gc = gcc; network = nc } = config in
+  (match gcc.Config.heap_size with
   | Some c -> Graph.set_capacity g (Some (Int.max c (Graph.vertex_count g)))
   | None -> Graph.set_capacity g None);
-  let num_pes = Config.num_pes config in
+  let num_pes = mc.Config.num_pes in
   (* Hand the graph to the PEs: per-home free lists and striped fresh
-     vids, so buffered allocation never shares a structure across PEs. *)
+     vids, so sharded allocation never shares a structure across PEs. *)
   if not (Graph.partitioned g) then Graph.partition g ~pes:num_pes;
   let mut = Mutator.create ?recorder ~spawn:(fun _ -> ()) g in
-  let speculate_if = Config.speculate_if config in
+  let speculate_if = mc.Config.speculate_if in
   let red =
     Reducer.create ~speculate_if ?recorder ~graph:g ~mut ~templates ~send:(fun _ -> ()) ()
   in
   let rc =
-    match Config.gc config with
+    match gcc.Config.mode with
     | Refcount -> Some (Refcount.create g)
     | No_gc | Concurrent _ | Stop_the_world _ -> None
   in
   let flt =
-    let faults = Config.faults config in
-    if Faults.active faults then Some (Faults.create faults) else None
+    if Faults.active nc.Config.faults then Some (Faults.create nc.Config.faults) else None
   in
-  let seed = Config.seed config in
+  let seed = mc.Config.seed in
   (* One ticket store for the whole machine. Tickets are opened inside
      [Network.send] — always on the main domain (inline sends, or the
      barrier mailbox flush) — so slot allocation is serial and its order
@@ -428,18 +407,18 @@ let create ?recorder ?(config = Config.default) g templates =
     {
       cfg = config;
       num_pes;
-      latency = Config.latency config;
-      tasks_per_step = Config.tasks_per_step config;
-      marking_per_step = Config.marking_per_step config;
-      gc_work_factor = Config.gc_work_factor config;
-      jitter = Config.jitter config;
-      gc_mode = Config.gc config;
-      domains = Int.max 1 (Int.min (Config.domains config) num_pes);
+      latency = nc.Config.latency;
+      tasks_per_step = mc.Config.tasks_per_step;
+      marking_per_step = mc.Config.marking_per_step;
+      gc_work_factor = gcc.Config.gc_work_factor;
+      jitter = nc.Config.jitter;
+      gc_mode = gcc.Config.mode;
+      domains = Int.max 1 (Int.min mc.Config.domains num_pes);
       g;
       pools =
         Array.init num_pes (fun pe ->
-            Pool.create ?recorder ~lineage ~pe (Config.pool_policy config) g);
-      net = Network.create ?recorder ~lineage ?faults:flt ~batch:(Config.batch config) ();
+            Pool.create ?recorder ~lineage ~pe mc.Config.pool_policy g);
+      net = Network.create ?recorder ~lineage ?faults:flt ~batch:nc.Config.batch ();
       mut;
       red;
       cyc = None;
@@ -454,10 +433,9 @@ let create ?recorder ?(config = Config.default) g templates =
       now = 0;
       current_pe = -1;
       current_lin = -1;
-      current_depth = 0;
       paused_until = 0;
       next_cycle_at = 0;
-      next_stw_at = (match Config.gc config with Stop_the_world { every } -> every | _ -> 0);
+      next_stw_at = (match gcc.Config.mode with Stop_the_world { every } -> every | _ -> 0);
       pe_rngs = Array.init num_pes (fun pe -> Rng.stream ~seed pe);
       ctrl_rng = Rng.stream ~seed (-1);
       flt;
@@ -465,8 +443,10 @@ let create ?recorder ?(config = Config.default) g templates =
       ckpts = [||];
       down_until = Array.make (Int.max 1 num_pes) 0;
       down_since = Array.make (Int.max 1 num_pes) (-1);
-      crash_used = (Config.faults config).Faults.crash > 0.0;
+      crash_used = nc.Config.faults.Faults.crash > 0.0;
       rc_freed_batch = Vid.Set.empty;
+      rc_ctrl = rc_log ();
+      in_step = false;
       ctxs = [||];
       mboxes = [||];
       workers = None;
@@ -479,8 +459,6 @@ let create ?recorder ?(config = Config.default) g templates =
       wd_retx_last = 0;
       wd_retx_at = 64;
       emit_mark = ignore;
-      budget_pe = -1;
-      exec_cb = None;
       mark_only = false;
       coop_sink = ignore;
     }
@@ -493,9 +471,9 @@ let create ?recorder ?(config = Config.default) g templates =
      if the absorbed twin had executed and immediately returned. The
      surviving twin keeps the wave's progress honest — a subtree is
      never considered marked before a mark actually traverses it.
-     Coalescing happens wherever the physical send does — inline on the
-     serial path, at the barrier mailbox flush on buffered steps — and
-     both are fixed, domain-count-free orders. Two marks can only
+     Coalescing happens wherever the physical send does — at the
+     barrier mailbox flush, or inline for the controller's own sends —
+     and both are fixed, domain-count-free orders. Two marks can only
      coalesce when every field matches, epoch included; a stale pair
      still coalesces in the network, but owes its dead wave nothing the
      dispatch-time epoch drop won't discard, so only current-wave marks
@@ -521,7 +499,7 @@ let create ?recorder ?(config = Config.default) g templates =
      vertex's partition ({!Graph.headroom_for}): a quarter of the heap
      globally, i.e. a quarter of each home's share. *)
   let speculation_reserve =
-    match Config.heap_size config with Some c -> c / 4 / Int.max 1 num_pes | None -> 0
+    match gcc.Config.heap_size with Some c -> c / 4 / Int.max 1 num_pes | None -> 0
   in
   (* Rebuild the reducer with the real send, preserving the mutator. *)
   t.red <-
@@ -550,7 +528,7 @@ let create ?recorder ?(config = Config.default) g templates =
           {
             cpe = pe;
             crng = t.pe_rngs.(pe);
-            mbox = Network.Mailbox.create ~src:pe;
+            mbox = Network.Mailbox.create ();
             ctrl = Vec.create ();
             pred;
             pm = Metrics.create ();
@@ -563,6 +541,7 @@ let create ?recorder ?(config = Config.default) g templates =
             cexec = None;
             ccoop = Vec.create ();
             cemit = None;
+            crc = rc_log ();
           }
         in
         cell := Some ctx;
@@ -574,15 +553,30 @@ let create ?recorder ?(config = Config.default) g templates =
       Vec.push t.ctxs.(if pe >= 0 then pe else 0).ccoop ev);
   (match rc with
   | Some rc ->
-    mut.Mutator.on_connect <- Refcount.on_connect rc;
-    mut.Mutator.on_disconnect <- Refcount.on_disconnect rc;
+    (* While a step runs the hooks only log — a PE into its own context,
+       the barrier's controller replay into [rc_ctrl] — and the barrier
+       applies the logs ([apply_rc_logs]). Outside a step they apply
+       immediately. *)
+    let log_for () =
+      let pe = Domain.DLS.get dls_pe in
+      if pe >= 0 then t.ctxs.(pe).crc else t.rc_ctrl
+    in
+    let log v a c =
+      Vec.push v a;
+      Vec.push v c
+    in
+    mut.Mutator.on_connect <-
+      (fun a c -> if t.in_step then log (log_for ()).inc a c else Refcount.on_connect rc a c);
+    mut.Mutator.on_disconnect <-
+      (fun a c ->
+        if t.in_step then log (log_for ()).dec a c else Refcount.on_disconnect rc a c);
     (* A reclaimed slot may be recycled by the free list: tasks still
        addressing dead vertices are expunged in one batch per step (see
        [flush_rc_purge]) before any slot can be handed out again. *)
     Refcount.set_on_free rc (fun v -> t.rc_freed_batch <- Vid.Set.add v t.rc_freed_batch);
     if Graph.has_root g then Refcount.pin rc (Graph.root g)
   | None -> ());
-  (match Config.gc config with
+  (match gcc.Config.mode with
   | Concurrent { deadlock_every; idle_gap } ->
     let purge_tasks pred = purge_for_baseline t pred in
     (* taskroot_i from per-PE local knowledge: each PE enumerates the
@@ -628,8 +622,8 @@ let create ?recorder ?(config = Config.default) g templates =
     in
     t.cyc <-
       Some
-        (Cycle.create ~deadlock_every ~scheme:(Config.marking config)
-           ~detection_window:(2 * Int.max 1 (Config.latency config))
+        (Cycle.create ~deadlock_every ~scheme:gcc.Config.marking
+           ~detection_window:(2 * Int.max 1 nc.Config.latency)
            ?recorder g mut env);
     (* Termination credits (flood scheme): every physical transmission
        samples the sending PE's counters via [credit_of]; arriving
@@ -685,7 +679,6 @@ let enable_ownership_checks t =
 let inject t task =
   t.current_pe <- -1;
   t.current_lin <- Dgr_obs.Lineage.new_lineage t.lin ~now:t.now;
-  t.current_depth <- 0;
   send t task;
   t.current_lin <- -1
 
@@ -724,7 +717,8 @@ let quiescent t =
   && match t.cyc with None -> true | Some c -> Cycle.phase c = Cycle.Idle
 
 (* Batch-expunge tasks addressing RC-reclaimed vertices; must run before
-   any allocation can recycle the slots, i.e. before task execution. *)
+   any allocation can recycle the slots, i.e. before the next shards
+   run. *)
 let flush_rc_purge t =
   if not (Vid.Set.is_empty t.rc_freed_batch) then begin
     let dead = t.rc_freed_batch in
@@ -737,6 +731,27 @@ let flush_rc_purge t =
              Task.reduction_endpoint_exists (fun v -> Vid.Set.mem v dead) r
            | Marking _ -> false))
   end
+
+(* Refcount at the barrier — §4's strawman as increment and decrement
+   messages, delivered once per step: every logged increment, then every
+   logged decrement, each pass in ascending PE order with the
+   controller's log last, cascades running serially here. Increments
+   before decrements is the deferred-RC rule: a vertex one PE unlinks
+   while another links it in the same step is never freed. The purge
+   follows at once, before anything can allocate a reclaimed slot. *)
+let apply_pairs v f =
+  for i = 0 to (Vec.length v / 2) - 1 do
+    f (Vec.get v (2 * i)) (Vec.get v ((2 * i) + 1))
+  done;
+  Vec.clear v
+
+let apply_rc_logs t rc =
+  let inc = Refcount.on_connect rc and dec = Refcount.on_disconnect rc in
+  Array.iter (fun ctx -> apply_pairs ctx.crc.inc inc) t.ctxs;
+  apply_pairs t.rc_ctrl.inc inc;
+  Array.iter (fun ctx -> apply_pairs ctx.crc.dec dec) t.ctxs;
+  apply_pairs t.rc_ctrl.dec dec;
+  flush_rc_purge t
 
 (* Decompose a ticketed task's latency at the moment it executes: network
    transit (send → fault-free arrival), retransmit delay (arrival →
@@ -751,49 +766,6 @@ let note_latency m l stamp ~now =
   Dgr_obs.Hist.add m.Metrics.lat_queue (now - delivered);
   Dgr_obs.Hist.add m.Metrics.lat_e2e (now - sent + 1)
 
-let execute_one t pe task stamp =
-  t.current_pe <- pe;
-  (* If the previous task's RC cascade reclaimed vertices, expunge tasks
-     addressing them before this task can allocate (and recycle) a slot. *)
-  flush_rc_purge t;
-  if stamp >= 0 then begin
-    note_latency t.m t.lin stamp ~now:t.now;
-    t.current_lin <- Dgr_obs.Lineage.lin_of t.lin stamp;
-    t.current_depth <- Dgr_obs.Lineage.depth_of t.lin stamp + 1
-  end
-  else begin
-    t.current_lin <- -1;
-    t.current_depth <- 0
-  end;
-  if t.obs_on then
-    obs t
-      (Dgr_obs.Event.Execute
-         {
-           kind = Task.obs_kind task;
-           pe;
-           vid = Task.exec_vid task;
-           lin = t.current_lin;
-         });
-  (match task with
-  | Reduction r ->
-    t.m.Metrics.reduction_executed <- t.m.Metrics.reduction_executed + 1;
-    Reducer.execute t.red r
-  | Marking mark ->
-    t.m.Metrics.marking_executed <- t.m.Metrics.marking_executed + 1;
-    execute_marking t ~pe mark);
-  if stamp >= 0 then Dgr_obs.Lineage.close t.lin stamp ~now:t.now;
-  t.current_pe <- -1;
-  t.current_lin <- -1;
-  t.current_depth <- 0
-
-(* Buffered marking dispatch. Everything a mark handler touches is
-   either owned by the executing PE (the target vertex's plane state —
-   marks are delivered to the vertex's home) or a per-PE counter slot
-   (run/flood tallies), so marking shards exactly like reduction. Emits
-   ride the PE's mailbox; returns to the dummy rootpar are
-   controller-addressed and replay serially at the barrier. The handler
-   table itself ([Cycle.handler_for_plane]) only changes at serial
-   points, published to workers by the step barrier. *)
 let cemit_for t ctx =
   match ctx.cemit with
   | Some f -> f
@@ -802,29 +774,13 @@ let cemit_for t ctx =
     ctx.cemit <- Some f;
     f
 
-let execute_marking_buffered t ctx m =
-  match t.cyc with
-  | None -> ()
-  | Some c -> (
-    match Cycle.handler_for_plane c (Task.plane_of_mark m) with
-    | Some (Cycle.Tree_run run) ->
-      if Task.mark_ep m <> run.Run.wave then
-        ctx.pm.Metrics.stale_marks_dropped <- ctx.pm.Metrics.stale_marks_dropped + 1
-      else Marker.execute run ~pe:ctx.cpe ~emit:(cemit_for t ctx) m
-    | Some (Cycle.Flood_run fl) ->
-      if Task.mark_ep m <> fl.Flood.wave then
-        ctx.pm.Metrics.stale_marks_dropped <- ctx.pm.Metrics.stale_marks_dropped + 1
-      else Flood.execute fl ~pe:ctx.cpe ~emit:(cemit_for t ctx) m
-    | None -> () (* stray task from a finished run: drop *))
-
-(* The buffered counterpart of [execute_one]: no RC purge (buffered steps
-   require [rc = None]). Latency lands in the context's private sink
-   (histogram absorption is associative, so the merged totals match a
-   serial execution); ticket closes are deferred to the barrier, where
-   they run in ascending PE order — again a fixed, domain-count-free
-   order. Ticket reads are safe off the main domain: between barriers the
-   store is never mutated. *)
-let execute_one_buffered t ctx task stamp =
+(* Execute one pooled task on its PE. Latency lands in the context's
+   private sink (histogram absorption is associative, so the merged
+   totals are independent of sharding); ticket closes are deferred to
+   the barrier, where they run in ascending PE order — a fixed,
+   domain-count-free order. Ticket reads are safe off the main domain:
+   between barriers the store is never mutated. *)
+let execute_task t ctx task stamp =
   if stamp >= 0 then begin
     note_latency ctx.pm t.lin stamp ~now:t.now;
     ctx.clin <- Dgr_obs.Lineage.lin_of t.lin stamp;
@@ -851,7 +807,7 @@ let execute_one_buffered t ctx task stamp =
     Reducer.execute ctx.pred r
   | Marking m ->
     ctx.pm.Metrics.marking_executed <- ctx.pm.Metrics.marking_executed + 1;
-    execute_marking_buffered t ctx m);
+    execute_marking t ~pe:ctx.cpe ~emit:(cemit_for t ctx) ctx.pm m);
   if stamp >= 0 then Vec.push ctx.cdone stamp;
   ctx.clin <- -1;
   ctx.cdepth <- 0
@@ -958,7 +914,7 @@ let gc_control t =
            live heap, and a recycled vid can be reported stuck afresh. *)
         if Reducer.stuck_count t.red > 0 then
           List.iter (Reducer.forget_stuck t.red) report.Dgr_core.Restructure.garbage;
-        if Config.recover_deadlock t.cfg then recover_deadlocks t report;
+        if t.cfg.Config.gc.Config.recover_deadlock then recover_deadlocks t report;
         (* Decentralized initiation: the next cycle's mark wave may open
            while this cycle's restructure pause is still draining — the
            wave is epoch-tagged and the mutator is the only thing the
@@ -972,46 +928,18 @@ let gc_control t =
         Cycle.start_cycle c
       end))
 
-(* One PE's execution budget for one step: the marking budget first, then
-   the reduction budget (which lends idle slots to marking — see
-   [Pool.pop]). Plain loops: this is the innermost simulator code. *)
-let execute_budgets t pe pool =
-  let t0 = Profile.now () in
-  let f =
-    match t.exec_cb with
-    | Some f -> f
-    | None ->
-      let f task stamp = execute_one t t.budget_pe task stamp in
-      t.exec_cb <- Some f;
-      f
-  in
-  t.budget_pe <- pe;
-  Pool.drain_marking pool ~budget:t.marking_per_step f;
-  let t1 = Profile.now () in
-  t.prof.Profile.Sums.mark_ns <- t.prof.Profile.Sums.mark_ns +. (t1 -. t0);
-  Pool.drain pool ~budget:t.tasks_per_step f;
-  t.prof.Profile.Sums.red_ns <- t.prof.Profile.Sums.red_ns +. (Profile.now () -. t1)
-
-let exec_buffered t ctx =
+let exec_for t ctx =
   match ctx.cexec with
   | Some f -> f
   | None ->
-    let f task stamp = execute_one_buffered t ctx task stamp in
+    let f task stamp = execute_task t ctx task stamp in
     ctx.cexec <- Some f;
     f
 
-(* A step is {e buffered} when nothing serial-only is in play: no
-   refcounting (immediate purges and free-slot recycling) and no fault
-   plane (stalls and the reliable-delivery clock). An active marking
-   cycle no longer forces the serial path: mark handlers shard by the
-   target vertex's home, run/flood tallies are per-PE slots, and the
-   mutator's cooperation bodies are deferred to the barrier
-   ({!Mutator.set_defer}) — so the wave executes buffered alongside
-   reduction. The predicate depends only on machine state — never on
-   [domains] — so whether a step is buffered is identical at every shard
-   count; [domains] only decides whether the buffered budgets run on
-   worker domains or inline. *)
-let buffered_ok t = t.rc = None && t.flt = None
+(* Whether PE [pe] executes this step: it is up and not stalled. Both
+   are serial state, written at the top of the step (crash tick, stall
+   pre-pass) before any shard reads them. *)
+let runs t pe = t.down_since.(pe) < 0 && t.now >= t.stall_until.(pe)
 
 (* Shard [d] owns the PE range [d*n/domains, (d+1)*n/domains). It runs
    every PE's marking budget, then every PE's reduction budget (which
@@ -1025,19 +953,16 @@ let run_shard t d =
   let t0 = Profile.now () in
   for pe = lo to hi - 1 do
     let ctx = t.ctxs.(pe) and pool = t.pools.(pe) in
-    (* This step's deliveries, in delivery order — a down PE's too, so
-       its pool holds what a serial delivery would have put there. *)
+    (* This step's deliveries, in delivery order — a down or stalled
+       PE's too: its pool keeps them for when it runs again. *)
     for i = 0 to Vec.length ctx.inbox - 1 do
       Pool.push_stamped pool ~stamp:(Vec.get ctx.inbox_stamps i) (Vec.get ctx.inbox i)
     done;
     Vec.clear ctx.inbox;
     Vec.clear ctx.inbox_stamps;
-    (* The down check only ever fires after an injected crash on an
-       otherwise fault-free machine (any crash {e rate} forces the serial
-       path via [flt]); it reads serial state the barrier published. *)
-    if t.down_since.(pe) < 0 then begin
+    if runs t pe then begin
       Domain.DLS.set dls_pe pe;
-      Pool.drain_marking pool ~budget:t.marking_per_step (exec_buffered t ctx)
+      Pool.drain_marking pool ~budget:t.marking_per_step (exec_for t ctx)
     end
   done;
   let t1 = Profile.now () in
@@ -1046,9 +971,9 @@ let run_shard t d =
      mutator is stopped, the next wave's marks are not. *)
   if not t.mark_only then begin
     for pe = lo to hi - 1 do
-      if t.down_since.(pe) < 0 then begin
+      if runs t pe then begin
         Domain.DLS.set dls_pe pe;
-        Pool.drain t.pools.(pe) ~budget:t.tasks_per_step (exec_buffered t t.ctxs.(pe))
+        Pool.drain t.pools.(pe) ~budget:t.tasks_per_step (exec_for t t.ctxs.(pe))
       end
     done;
     t.shard_ns.((2 * d) + 1) <- t.shard_ns.((2 * d) + 1) +. (Profile.now () -. t1)
@@ -1166,32 +1091,28 @@ let () = each_home_cell := each_home_run
    data-disjoint either way, so where they run never shows in the
    bytes, and an oversubscribed host skips a worker-pool round-trip
    per step. The grouping span counts as parallelizable in the
-   profiler ([pflush_ns]); the finalization as serial. *)
+   profiler ([pflush_ns]); the finalization as serial. The staged area
+   is always empty here — [deliver_into] flushed it at the top of the
+   step and every send since was posted to a mailbox — which
+   [flush_shard_plan] checks. *)
 let flush_on_workers = Domain.recommended_domain_count () > 1
 
 let flush_mailboxes t =
   let f0 = Profile.now () in
-  if Network.flush_shard_plan t.net t.mboxes then begin
-    let job d =
-      let lo = d * t.num_pes / t.domains and hi = (d + 1) * t.num_pes / t.domains in
-      Network.flush_shard_group t.net t.mboxes ~lo ~hi
-    in
-    if t.domains > 1 && flush_on_workers then run_parallel t job
-    else
-      for d = 0 to t.domains - 1 do
-        job d
-      done;
-    let f1 = Profile.now () in
-    t.prof.Profile.Sums.pflush_ns <- t.prof.Profile.Sums.pflush_ns +. (f1 -. f0);
-    Network.flush_shard_finalize t.net t.mboxes;
-    t.prof.Profile.Sums.flush_ns <- t.prof.Profile.Sums.flush_ns +. (Profile.now () -. f1)
-  end
-  else begin
-    (* Staged frames already forming (a send outside the step loop):
-       only the serial flush merges into those correctly. *)
-    Array.iter (fun ctx -> Network.Mailbox.flush ctx.mbox t.net) t.ctxs;
-    t.prof.Profile.Sums.flush_ns <- t.prof.Profile.Sums.flush_ns +. (Profile.now () -. f0)
-  end
+  Network.flush_shard_plan t.net t.mboxes;
+  let job d =
+    let lo = d * t.num_pes / t.domains and hi = (d + 1) * t.num_pes / t.domains in
+    Network.flush_shard_group t.net t.mboxes ~lo ~hi
+  in
+  if t.domains > 1 && flush_on_workers then run_parallel t job
+  else
+    for d = 0 to t.domains - 1 do
+      job d
+    done;
+  let f1 = Profile.now () in
+  t.prof.Profile.Sums.pflush_ns <- t.prof.Profile.Sums.pflush_ns +. (f1 -. f0);
+  Network.flush_shard_finalize t.net t.mboxes;
+  t.prof.Profile.Sums.flush_ns <- t.prof.Profile.Sums.flush_ns +. (Profile.now () -. f1)
 
 let dispose t =
   match t.workers with
@@ -1209,13 +1130,13 @@ let dispose t =
    of the per-PE buffers — independent of domain count and scheduling.
    Order within the merge: events first (so traces read
    execute-then-control), then counters, then network sends (the queue is
-   FIFO-stable among equal arrivals, so PE-ordered flushing reproduces
-   what a serial PE-ordered execution would have enqueued), then the
-   deferred cooperation events (whose mark spawns are charged to the
-   deferring PE and draw its jitter stream), then the deferred controller
-   tasks (whose own sends go straight to the network, after every
-   buffered send — again a fixed order). *)
-let merge_buffered t =
+   FIFO-stable among equal arrivals, so PE-ordered flushing fixes their
+   delivery order), then the deferred cooperation events (whose mark
+   spawns are charged to the deferring PE and draw its jitter stream),
+   then the deferred controller tasks (whose own sends go straight to the
+   network, after every mailbox send — again a fixed order), and last the
+   step's refcount traffic ([apply_rc_logs]). *)
+let barrier t =
   t.current_pe <- -1;
   Mutator.set_defer t.mut None;
   let m0 = Profile.now () in
@@ -1271,6 +1192,8 @@ let merge_buffered t =
       Vec.iter (fun task -> execute_at_controller t task) ctx.ctrl;
       Vec.clear ctx.ctrl)
     t.ctxs;
+  t.in_step <- false;
+  (match t.rc with Some rc -> apply_rc_logs t rc | None -> ());
   t.prof.Profile.Sums.replay_ns <- t.prof.Profile.Sums.replay_ns +. (Profile.now () -. m4)
 
 (* Health watchdogs. Window-based: each monitor re-arms on any progress
@@ -1355,8 +1278,9 @@ let health_check t =
    graph byte-for-byte. What is honestly lost is in-flight and pooled
    work ([crash_lost_tasks]); an interrupted marking phase is restarted
    ({!Cycle.restart_phase}) so no partial mark can masquerade as a
-   finished wave. All of this is serial-path state, so verdicts and
-   digests stay bit-identical at every [domains] value. *)
+   finished wave. All of it runs serially at the top of the step, before
+   the shards (which only read [down_since]), so verdicts and digests
+   stay bit-identical at every [domains] value. *)
 
 let is_down t pe = t.down_since.(pe) >= 0
 
@@ -1436,12 +1360,34 @@ let crash_tick t =
   match t.flt with
   | Some f when f.Faults.spec.Faults.crash > 0.0 ->
     for pe = 0 to t.num_pes - 1 do
-      if (not (is_down t pe)) && Faults.crash_begins f ~pe && up_count t >= 2 then begin
+      if (not (is_down t pe)) && Faults.crash_begins f && up_count t >= 2 then begin
         let down = Faults.down_length f in
         crash_now t ~pe ~down
       end
     done
   | _ -> ()
+
+(* The stall pre-pass, serial at the top of every step that runs the
+   reduction budgets, before the shards: each up PE in ascending order
+   either sits out a stall in progress or rolls the stall dice, so the
+   draw order — and with it the stall schedule — is a pure function of
+   machine state. A stalled PE (crash-restart with memory preserved)
+   skips its budgets ([runs]); its pool, heap and in-flight messages
+   survive. The marking plane must tolerate this — a stalled PE delays
+   but never loses its share of the cycle. A crashed PE rolls nothing
+   until it recovers. *)
+let stall_tick t f =
+  for pe = 0 to t.num_pes - 1 do
+    if not (is_down t pe) then
+      if t.now < t.stall_until.(pe) then f.Faults.stall_steps <- f.Faults.stall_steps + 1
+      else if Faults.stall_begins f then begin
+        let steps = Faults.stall_length f in
+        f.Faults.stalls <- f.Faults.stalls + 1;
+        f.Faults.stall_steps <- f.Faults.stall_steps + 1;
+        t.stall_until.(pe) <- t.now + steps;
+        obs t (Dgr_obs.Event.Stall { pe; steps })
+      end
+  done
 
 let inject_crash t ~pe ~down =
   if t.num_pes < 2 then invalid_arg "Engine.inject_crash: need at least 2 PEs";
@@ -1463,107 +1409,68 @@ let step t =
      checker exempts same-step births (a PE wires up its own fresh
      template vertices before they are published to anyone). *)
   Graph.bump_epoch t.g;
-  (* 0. The crash plane: checkpoint sync, recoveries, then crash dice —
-     before delivery, so frames arriving at a PE that crashes this step
-     die with it. Never entered by a machine that cannot crash, keeping
+  (* A step runs the shards unless the machine is paused by a
+     collection; during a restructure pause with the next cycle's wave
+     already open, they run its marks only. *)
+  let running = t.now >= t.paused_until in
+  let executing =
+    running || match t.cyc with Some c -> Cycle.phase c <> Cycle.Idle | None -> false
+  in
+  (* 0. The fault plane's serial pass. The crash tick (checkpoint sync,
+     recoveries, crash dice) runs before delivery, so frames arriving at
+     a PE that crashes this step die with it; then the stall dice. A
+     machine that cannot crash or stall never enters either, keeping
      fault-free runs byte-identical to builds without the plane. *)
   if t.crash_used then crash_tick t;
+  (match t.flt with Some f when running -> stall_tick t f | _ -> ());
+  (* Refcount frees made between steps (the barrier purges its own). *)
+  flush_rc_purge t;
   (* 1. Deliver the network (the delivered task's lineage ticket rides
-     along as its pool stamp). When this step's budgets run buffered,
-     each task lands in its destination PE's inbox and the PE's shard
-     pushes it into the pool: a push touches only the destination pool
-     and reads vertex classes nothing writes during execution, so the
-     per-task pool work runs sharded instead of here. Otherwise it goes
-     straight into the pool. Either way a pool sees the same pushes in
-     the same order. *)
-  let buffered =
-    buffered_ok t
-    && (t.now >= t.paused_until
-       || match t.cyc with Some c -> Cycle.phase c <> Cycle.Idle | None -> false)
-  in
+     along as its pool stamp). On an executing step each task lands in
+     its destination PE's inbox and the PE's shard pushes it into the
+     pool: a push touches only the destination pool and reads vertex
+     classes nothing writes during execution, so the per-task pool work
+     runs sharded. Otherwise it goes straight into the pool. Either way
+     a pool sees the same pushes in the same order. *)
   Network.deliver_into t.net ~now:t.now
     ~push:
-      (if buffered then (fun pe stamp task ->
+      (if executing then (fun pe stamp task ->
          let ctx = t.ctxs.(pe) in
          Vec.push ctx.inbox task;
          Vec.push ctx.inbox_stamps stamp)
        else fun pe stamp task -> Pool.push_stamped t.pools.(pe) ~stamp task);
-  flush_rc_purge t;
   let p1 = Profile.now () in
   let w1 = Profile.words () in
   t.prof.Profile.Sums.transport_ns <- t.prof.Profile.Sums.transport_ns +. (p1 -. p0);
   t.prof.Profile.Sums.transport_mw <- t.prof.Profile.Sums.transport_mw +. (w1 -. w0);
-  (* 2. Execute, unless the machine is paused by a collection. Marking
-     tasks are lightweight (§6: "bounded amount of time once the required
-     vertices are accessed") and get their own per-step budget so GC
-     neither starves nor is starved by the reduction process. *)
-  let buffered_exec () =
-    (* Buffered: every PE runs against its private context; with one
-       shard that is a plain loop on this domain, with more the same
-       loop bodies run on the worker pool — same buffers either way.
-       Cooperation bodies are deferred for the barrier replay. *)
+  (* 2. Execute. Marking tasks are lightweight (§6: "bounded amount of
+     time once the required vertices are accessed") and get their own
+     per-step budget so GC neither starves nor is starved by the
+     reduction process. Every PE runs against its private context; with
+     one shard that is a plain loop on this domain, with more the same
+     loop bodies run on the worker pool — same buffers either way.
+     Cooperation bodies and refcount traffic are deferred to the
+     barrier. Epoch overlap: while the machine is paused for cycle N's
+     restructure, cycle N+1's mark wave may already be open — its tasks
+     carry the new epoch and touch nothing the pause protects, so the
+     marking budgets keep draining while reduction stays stopped. *)
+  if executing then begin
+    t.mark_only <- not running;
+    t.in_step <- true;
     Mutator.set_defer t.mut (Some t.coop_sink);
     if t.domains > 1 then run_parallel t (fun d -> run_shard t d) else run_shard t 0;
     let p2 = Profile.now () in
     let w2 = Profile.words () in
     t.prof.Profile.Sums.execute_ns <- t.prof.Profile.Sums.execute_ns +. (p2 -. p1);
     t.prof.Profile.Sums.execute_mw <- t.prof.Profile.Sums.execute_mw +. (w2 -. w1);
-    merge_buffered t;
+    barrier t;
+    t.mark_only <- false;
     t.prof.Profile.Sums.merge_ns <- t.prof.Profile.Sums.merge_ns +. (Profile.now () -. p2);
     t.prof.Profile.Sums.merge_mw <- t.prof.Profile.Sums.merge_mw +. (Profile.words () -. w2)
-  in
-  if t.now >= t.paused_until then begin
-    if buffered then buffered_exec ()
-    else begin
-      for pe = 0 to t.num_pes - 1 do
-        (* A crashed PE executes nothing (and rolls no stall dice) until
-           its downtime elapses. Transient PE stall (crash-restart with
-           memory preserved): the PE skips its execution budget; its
-           pool, heap and in-flight messages survive. The marking plane
-           must tolerate this — a stalled PE delays but never loses its
-           share of the cycle. *)
-        let stalled =
-          t.down_since.(pe) >= 0
-          ||
-          match t.flt with
-          | None -> false
-          | Some f ->
-            if t.now < t.stall_until.(pe) then begin
-              f.Faults.stall_steps <- f.Faults.stall_steps + 1;
-              true
-            end
-            else if Faults.stall_begins f ~pe then begin
-              let steps = Faults.stall_length f in
-              f.Faults.stalls <- f.Faults.stalls + 1;
-              f.Faults.stall_steps <- f.Faults.stall_steps + 1;
-              t.stall_until.(pe) <- t.now + steps;
-              obs t (Dgr_obs.Event.Stall { pe; steps });
-              true
-            end
-            else false
-        in
-        if not stalled then execute_budgets t pe t.pools.(pe)
-      done;
-      (* Serial-only execution (faults / RC): counted apart from the
-         buffered span — this time is serial by construction and
-         sharding cannot touch it. *)
-      t.prof.Profile.Sums.sexec_ns <- t.prof.Profile.Sums.sexec_ns +. (Profile.now () -. p1);
-      t.prof.Profile.Sums.sexec_mw <- t.prof.Profile.Sums.sexec_mw +. (Profile.words () -. w1)
-    end
-  end
-  else if buffered then begin
-    (* Epoch overlap: the machine is paused for cycle N's restructure,
-       but cycle N+1's mark wave has already opened — its tasks carry the
-       new epoch and touch nothing the pause protects, so the marking
-       budgets keep draining while reduction stays stopped. *)
-    t.mark_only <- true;
-    buffered_exec ();
-    t.mark_only <- false
   end;
   (* 3. Memory management. *)
   let p3 = Profile.now () in
   let w3 = Profile.words () in
-  flush_rc_purge t;
   gc_control t;
   (* Flood termination heartbeats: while a flood phase is in progress
      every up PE periodically posts its (epoch, sent, executed) credit

@@ -32,13 +32,13 @@ type gc_mode =
 (** Machine configuration, grouped by concern: [machine] (the PEs and
     their scheduling), [gc] (the memory-management regime), [network]
     (the interconnect and its fault plane). Build one with {!Config.make}
-    — named optional arguments with the historical defaults — and derive
-    variants with the [with_*] updaters, so adding a knob never breaks a
-    caller:
+    — named optional arguments with the historical defaults, so adding a
+    knob never breaks a caller — and derive variants with record update:
 
     {[
       let cfg = Engine.Config.make ~num_pes:8 ~gc:Engine.Refcount () in
-      let faster = Engine.Config.with_latency 1 cfg
+      let faster =
+        { cfg with Engine.Config.network = { cfg.Engine.Config.network with latency = 1 } }
     ]} *)
 module Config : sig
   type machine = {
@@ -136,44 +136,20 @@ module Config : sig
   val default : t
   (** [make ()]. *)
 
-  (** {2 Flat accessors} *)
+  (** {2 Accessors used outside the engine}
+
+      Everything else is plain record access. *)
 
   val num_pes : t -> int
-  val latency : t -> int
-  val tasks_per_step : t -> int
-  val marking_per_step : t -> int
-  val gc_work_factor : t -> int
-  val heap_size : t -> int option
-  val pool_policy : t -> Pool.policy
-  val speculate_if : t -> bool
-  val gc : t -> gc_mode
-  val marking : t -> Dgr_core.Cycle.scheme
-  val recover_deadlock : t -> bool
-  val jitter : t -> float
   val seed : t -> int
-  val faults : t -> Faults.spec
   val domains : t -> int
-  val batch : t -> bool
 
   (** {2 Updaters}
 
       [with_x v cfg] is [cfg] with knob [x] set to [v]; composes with
-      [|>]. *)
+      [|>]. Only the two knobs the bench harness varies over a fixed
+      scenario have one. *)
 
-  val with_num_pes : int -> t -> t
-  val with_latency : int -> t -> t
-  val with_tasks_per_step : int -> t -> t
-  val with_marking_per_step : int -> t -> t
-  val with_gc_work_factor : int -> t -> t
-  val with_heap_size : int option -> t -> t
-  val with_pool_policy : Pool.policy -> t -> t
-  val with_speculate_if : bool -> t -> t
-  val with_gc : gc_mode -> t -> t
-  val with_marking : Dgr_core.Cycle.scheme -> t -> t
-  val with_recover_deadlock : bool -> t -> t
-  val with_jitter : float -> t -> t
-  val with_seed : int -> t -> t
-  val with_faults : Faults.spec -> t -> t
   val with_domains : int -> t -> t
   val with_batch : bool -> t -> t
 end
@@ -258,17 +234,20 @@ val pe_down : t -> int -> bool
 (** Whether a PE is currently crashed (always false out of range). *)
 
 val step : t -> unit
-(** One discrete step. A step with no serial-only machinery in play (no
-    refcounting, no fault plane, marking controller idle) is {e buffered}:
-    each PE's budget runs against a private context — its own splitmix
+(** One discrete step. The top of the step is serial: the fault plane's
+    crash tick and stall dice (ascending PE order), then network
+    delivery. Unless the machine is paused by a collection, every PE's
+    budget then runs against a private context — its own splitmix
     scheduling stream, outgoing-message mailbox, metrics, reducer
-    counters and event buffer — and the contexts are merged into the
-    shared machine at a step barrier in ascending PE order. When
-    [Config.domains > 1] the buffered budgets run on a pool of OCaml
-    domains (spawned lazily on the first parallel step; see {!dispose});
-    because the merge order is fixed and whether a step buffers never
-    depends on the shard count, results are bit-identical at every
-    [domains] value. *)
+    counters, event buffer and refcount log — and the contexts are
+    merged into the shared machine at a step barrier in ascending PE
+    order; during a restructure pause with the next cycle's wave already
+    open, only the marking budgets run. Refcount increments and then
+    decrements are applied at the end of the barrier. When
+    [Config.domains > 1] the budgets run on a pool of OCaml domains
+    (spawned lazily on the first parallel step; see {!dispose}); because
+    the merge order is fixed and nothing in the step depends on the
+    shard count, results are bit-identical at every [domains] value. *)
 
 exception Shard_failed of { step : int; shard : int; lo : int; hi : int; exn : exn }
 (** Raised by {!step} when a shard running on the worker pool
@@ -289,7 +268,7 @@ val enable_ownership_checks : t -> unit
     edge-set mutation then verifies that the executing PE owns the vertex
     it mutates (vertices born this step are exempt — a PE wires up its
     own fresh template vertices before publishing them). This is the
-    discipline that makes buffered steps race-free; the guard makes
+    discipline that makes sharded steps race-free; the guard makes
     violations fail loudly in tests instead of corrupting a run. *)
 
 val run : ?max_steps:int -> ?stop:(t -> bool) -> t -> int

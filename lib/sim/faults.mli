@@ -73,19 +73,19 @@ val duplicates_frame : t -> bool
 val extra_delay : t -> latency:int -> int
 (** [0] on a miss; [1 + uniform latency] extra steps on a hit (counted). *)
 
-val stall_begins : t -> pe:int -> bool
+val stall_begins : t -> bool
 (** Roll the stall fault for one (step, PE); counting is the caller's
-    job (it knows the drawn length). [pe] is accepted for clarity only —
-    the roll order (engine iterates PEs in order) is what keeps the
-    stream deterministic. *)
+    job (it knows the drawn length). The engine rolls serially, in
+    ascending PE order, which keeps the stream deterministic at every
+    domain count. *)
 
 val stall_length : t -> int
 (** [1 + uniform stall_max] steps. *)
 
-val crash_begins : t -> pe:int -> bool
-(** Roll the crash fault for one (step, up PE). As with stalls, [pe] is
-    documentation — the engine's ascending-PE roll order is what keeps
-    the stream deterministic at every domain count. *)
+val crash_begins : t -> bool
+(** Roll the crash fault for one (step, up PE). As with stalls, the
+    engine's serial ascending-PE roll order keeps the stream
+    deterministic at every domain count. *)
 
 val down_length : t -> int
 (** [1 + uniform crash_down_max] steps of downtime. *)

@@ -688,11 +688,6 @@ let deliver_into t ~now ~push =
     in
     service_timers ()
 
-let deliver t ~now =
-  let acc = ref [] in
-  deliver_into t ~now ~push:(fun pe _stamp task -> acc := (pe, task) :: !acc);
-  List.rev !acc
-
 (* Undelivered batches in fault-free arrival order, stage order among
    equals — deterministic regardless of hash-table or heap layout.
    Staged batches (sent this step, flushing next tick) are included:
@@ -910,14 +905,13 @@ let crash_pe t ~pe =
    into the network at the step barrier in ascending PE order. Flushing
    preserves each mailbox's post order, and staging groups tasks by
    (src, dst, arrival) irrespective of post interleaving, so the merged
-   batches equal the serial engine's — independent of which domain ran
-   which PE when. *)
+   batches are independent of which domain ran which PE when. *)
 module Mailbox = struct
   (* Struct of arrays: one int column per entry field plus the task
      column, so a post writes five slots and allocates nothing. Every
-     entry's source is the mailbox's own PE. *)
+     entry's source is the mailbox's own PE: its index in the flushed
+     array. *)
   type mb = {
-    src : int;
     mutable len : int;
     mutable arrival : int array;
     mutable dst : int array;
@@ -926,8 +920,7 @@ module Mailbox = struct
     mutable task : Task.t array;
   }
 
-  let create ~src =
-    { src; len = 0; arrival = [||]; dst = [||]; lin = [||]; depth = [||]; task = [||] }
+  let create () = { len = 0; arrival = [||]; dst = [||]; lin = [||]; depth = [||]; task = [||] }
 
   let widen a cap fill =
     let a' = Array.make cap fill in
@@ -954,19 +947,14 @@ module Mailbox = struct
 
   let length mb = mb.len
 
-  let flush mb net =
-    for i = 0 to mb.len - 1 do
-      send ~src:mb.src ~lin:mb.lin.(i) ~depth:mb.depth.(i) net ~arrival:mb.arrival.(i)
-        ~pe:mb.dst.(i) mb.task.(i)
-    done;
-    mb.len <- 0
-
   type t = mb
 end
 
 (* ---- Destination-sharded mailbox flush --------------------------------
    The barrier flush split in two, so the grouping half can run on the
-   worker pool.
+   worker pool. Its specification is the {e serial flush}: [send] over
+   every mailbox entry, mailboxes in ascending src order, post order
+   within one.
 
    Everything [send] computes per mailbox entry falls into two classes:
 
@@ -992,16 +980,17 @@ end
      serial flush's exact global order and performs only this part, so
      uids, ticket slots, rng draws, events and counters are
      byte-identical to the serial flush — at every domain count, the
-     sharded flush and [Mailbox.flush] over the same mailboxes leave
+     sharded flush and the serial flush over the same mailboxes leave
      the network in the same state. *)
 
-(* Size the plan for [mbs] and publish the per-src offsets. Returns
-   [false] when the staged area is not empty — then a forming frame
-   could already match a mailbox entry's key, only the serial flush
-   handles that (the engine's barrier always runs on an empty staged
-   area; external callers get the fallback). *)
+(* Size the plan for [mbs] and publish the per-src offsets. The staged
+   area must be empty: a forming frame could match a mailbox entry's
+   key, and the grouping pass only looks for frames it formed itself.
+   The engine's barrier always runs on an empty staged area ([deliver_into]
+   flushed it at the top of the step). *)
 let flush_shard_plan t (mbs : Mailbox.mb array) =
-  if Vec.length t.staged > 0 then false
+  if Vec.length t.staged > 0 then
+    invalid_arg "Network.flush_shard_plan: staged area not empty"
   else begin
     let n = Array.length mbs in
     ignore (free_list_for t (n - 1));
@@ -1023,8 +1012,7 @@ let flush_shard_plan t (mbs : Mailbox.mb array) =
       let cap = Stdlib.max 64 (2 * !total) in
       t.sf_vidx <- Array.make cap 0;
       t.sf_vbatch <- Array.make cap t.sf_dummy
-    end;
-    true
+    end
   end
 
 (* The forming frame for (src, arrival) bound for [dst], or [sf_dummy].

@@ -119,10 +119,6 @@ val deliver_into : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
     standalone), suppresses duplicate frames, and fires expired
     retransmission timers. Call once per step. *)
 
-val deliver : t -> now:int -> (int * Task.t) list
-(** {!deliver_into} collected into a list, in delivery order (tests and
-    debugging; the engine consumes via [deliver_into]). *)
-
 val in_flight : t -> Task.t list
 (** Tasks sent but not yet delivered — staged batches included — ordered
     by fault-free arrival step, then batch stage order, then in-batch
@@ -202,17 +198,19 @@ val crash_pe : t -> pe:int -> int
     (their lineage tickets are dropped); delivered-but-unacked batches
     lose only their ack bookkeeping. *)
 
-(** Per-PE outgoing buffer for the sharded engine: a worker-domain PE
-    posts its sends here instead of staging directly; the engine flushes
-    every mailbox at the step barrier in ascending PE order. Staging
-    groups tasks by (src, dst, arrival) regardless of post interleaving,
-    so the merged batches equal the serial engine's exactly. Entries are
-    stored column-wise, so a warm mailbox posts without allocating. *)
+(** Per-PE outgoing buffer for the sharded engine: a PE posts its sends
+    here instead of staging directly; the engine flushes every mailbox
+    at the step barrier in ascending PE order (the destination-sharded
+    flush below). Staging groups tasks by (src, dst, arrival) regardless
+    of post interleaving, so the merged batches do not depend on which
+    domain ran which PE. Entries are stored column-wise, so a warm
+    mailbox posts without allocating. *)
 module Mailbox : sig
   type mb
 
-  val create : src:int -> mb
-  (** The mailbox of PE [src]: every task posted to it is sent from [src]. *)
+  val create : unit -> mb
+  (** An empty mailbox. Its sending PE is its index in the array the
+      flush is handed (see {!flush_shard_plan}). *)
 
   val post : mb -> lin:int -> depth:int -> arrival:int -> pe:int -> Task.t -> unit
   (** Buffer a send to PE [pe] for [arrival], with its lineage [lin]
@@ -220,18 +218,15 @@ module Mailbox : sig
 
   val length : mb -> int
 
-  val flush : mb -> t -> unit
-  (** Issue every buffered send into the network in post order, then
-      clear the mailbox. *)
-
   type t = mb
 end
 
 (** {2 Destination-sharded flush}
 
     The barrier mailbox flush split into a parallelizable grouping pass
-    and a serial finalization, together byte-equivalent to flushing
-    every mailbox through {!Mailbox.flush} in ascending PE order.
+    and a serial finalization, together byte-equivalent to {!send} over
+    every mailbox entry — mailboxes in ascending PE order, post order
+    within one.
     Frames are keyed by destination, so grouping tasks into frames and
     deciding mark coalescing touch per-destination state only: shards
     over disjoint destination ranges may run {!flush_shard_group}
@@ -240,11 +235,11 @@ end
     draws, counters, events — happens in {!flush_shard_finalize}, which
     replays the per-entry verdicts in the serial flush's exact order. *)
 
-val flush_shard_plan : t -> Mailbox.mb array -> bool
+val flush_shard_plan : t -> Mailbox.mb array -> unit
 (** Size the plan for one barrier ([mbs.(src)] is PE [src]'s mailbox)
-    and publish per-src offsets. Serial. Returns [false] if the staged
-    area is non-empty — a forming frame could match a mailbox entry's
-    key, so the caller must fall back to {!Mailbox.flush}. *)
+    and publish per-src offsets. Serial. Precondition: nothing is staged
+    since the last {!deliver_into} — a forming frame could match a
+    mailbox entry's key. Raises [Invalid_argument] otherwise. *)
 
 val flush_shard_group : t -> Mailbox.mb array -> lo:int -> hi:int -> unit
 (** Group entries bound for destinations [lo, hi) into forming frames

@@ -1,10 +1,10 @@
 (* Step-phase profiler: wall-clock and allocation attribution of engine
    time.
 
-   Each engine step is bracketed into phases — transport (network flush
-   and delivery), execution (the per-PE budget loops, on a buffered
-   step preceded by each PE's pushes of its delivered tasks into its
-   pool: the only span the sharded engine runs in parallel), barrier
+   Each engine step is bracketed into phases — transport (the fault
+   plane's crash and stall dice, network flush and delivery), execution
+   (each PE's pushes of its delivered tasks into its pool, then the
+   per-PE budget loops: the span the sharded engine runs in parallel), barrier
    merge (sub-recorder drain, metric absorption, mailbox flush,
    controller replay), GC control, and bookkeeping (counter sync,
    watchdogs, sampling). Within the execution span the budget loops
@@ -38,8 +38,8 @@ type t = {
   mutable steps : int;
   mutable total_ns : float;
   mutable transport_ns : float;
-  mutable execute_ns : float;  (* parallel(izable) buffered execution span *)
-  mutable sexec_ns : float;  (* serial-only execution span (faults/RC/cycle) *)
+  mutable execute_ns : float;  (* parallel(izable) execution span *)
+  mutable sexec_ns : float;  (* always 0: see profile.mli *)
   mutable merge_ns : float;
   (* Inside merge, where the barrier's time goes — the attack surface of
      the pay-as-you-go merge. [pflush_ns] is the destination-sharded
@@ -65,7 +65,7 @@ type t = {
   mutable total_mw : float;  (* minor words, same brackets as the ns spans *)
   mutable transport_mw : float;
   mutable execute_mw : float;
-  mutable sexec_mw : float;
+  mutable sexec_mw : float;  (* always 0: see profile.mli *)
   mutable merge_mw : float;
   mutable gc_mw : float;
   mutable book_mw : float;
@@ -80,7 +80,6 @@ module Sums = struct
     mutable total_ns : float;
     mutable transport_ns : float;
     mutable execute_ns : float;
-    mutable sexec_ns : float;
     mutable merge_ns : float;
     mutable drain_ns : float;
     mutable absorb_ns : float;
@@ -96,7 +95,6 @@ module Sums = struct
     mutable total_mw : float;
     mutable transport_mw : float;
     mutable execute_mw : float;
-    mutable sexec_mw : float;
     mutable merge_mw : float;
     mutable gc_mw : float;
     mutable book_mw : float;
@@ -107,7 +105,6 @@ module Sums = struct
       total_ns = 0.0;
       transport_ns = 0.0;
       execute_ns = 0.0;
-      sexec_ns = 0.0;
       merge_ns = 0.0;
       drain_ns = 0.0;
       absorb_ns = 0.0;
@@ -123,7 +120,6 @@ module Sums = struct
       total_mw = 0.0;
       transport_mw = 0.0;
       execute_mw = 0.0;
-      sexec_mw = 0.0;
       merge_mw = 0.0;
       gc_mw = 0.0;
       book_mw = 0.0;
@@ -136,7 +132,7 @@ let of_sums ~steps (s : Sums.t) =
     total_ns = s.Sums.total_ns;
     transport_ns = s.Sums.transport_ns;
     execute_ns = s.Sums.execute_ns;
-    sexec_ns = s.Sums.sexec_ns;
+    sexec_ns = 0.0;
     merge_ns = s.Sums.merge_ns;
     drain_ns = s.Sums.drain_ns;
     absorb_ns = s.Sums.absorb_ns;
@@ -152,7 +148,7 @@ let of_sums ~steps (s : Sums.t) =
     total_mw = s.Sums.total_mw;
     transport_mw = s.Sums.transport_mw;
     execute_mw = s.Sums.execute_mw;
-    sexec_mw = s.Sums.sexec_mw;
+    sexec_mw = 0.0;
     merge_mw = s.Sums.merge_mw;
     gc_mw = s.Sums.gc_mw;
     book_mw = s.Sums.book_mw;
@@ -173,18 +169,3 @@ let serial_fraction t =
 let amdahl_speedup t ~domains =
   let s = serial_fraction t in
   1.0 /. (s +. ((1.0 -. s) /. float_of_int (Stdlib.max 1 domains)))
-
-let share t part = if t.total_ns <= 0.0 then 0.0 else part /. t.total_ns
-
-let per_step t part = if t.steps <= 0 then 0.0 else part /. float_of_int t.steps
-
-let to_json t =
-  Printf.sprintf
-    "{\"steps\":%d,\"total_ms\":%.3f,\"transport\":%.4f,\"execute\":%.4f,\"execute_serial\":%.4f,\"merge\":%.4f,\"merge_breakdown\":{\"drain\":%.4f,\"absorb\":%.4f,\"close\":%.4f,\"flush_sharded\":%.4f,\"flush_serial\":%.4f,\"replay\":%.4f},\"gc\":%.4f,\"bookkeeping\":%.4f,\"restructure\":%.4f,\"marking\":%.4f,\"reduction\":%.4f,\"serial_fraction\":%.4f,\"mw_per_step\":{\"transport\":%.1f,\"execute\":%.1f,\"execute_serial\":%.1f,\"merge\":%.1f,\"gc\":%.1f,\"bookkeeping\":%.1f}}"
-    t.steps (t.total_ns /. 1e6) (share t t.transport_ns) (share t t.execute_ns)
-    (share t t.sexec_ns) (share t t.merge_ns) (share t t.drain_ns)
-    (share t t.absorb_ns) (share t t.close_ns) (share t t.pflush_ns)
-    (share t t.flush_ns) (share t t.replay_ns) (share t t.gc_ns) (share t t.book_ns)
-    (share t t.restr_ns) (share t t.mark_ns) (share t t.red_ns) (serial_fraction t)
-    (per_step t t.transport_mw) (per_step t t.execute_mw) (per_step t t.sexec_mw)
-    (per_step t t.merge_mw) (per_step t t.gc_mw) (per_step t t.book_mw)

@@ -23,6 +23,12 @@
     ([dgr report --deterministic], deterministic bench rows) zero the
     whole profile. *)
 
+(** [sexec_ns] and [sexec_mw] always read [0.0]. They timed a serial
+    execution path that no longer exists — every step now runs the
+    sharded budgets — and stay in the record only because readers
+    outside the library (the [perfbench/] harness's
+    [engine.sexec_share] and [engine.sexec_mw_per_step]) still name
+    them. *)
 type t = {
   mutable steps : int;
   mutable total_ns : float;
@@ -50,14 +56,14 @@ type t = {
   mutable book_mw : float;
 }
 
-(** The running sums {!t} is read from: the same float fields, flat, so
-    the engine's per-phase updates allocate nothing. *)
+(** The running sums {!t} is read from: the same float fields (less the
+    two [sexec] ones), flat, so the engine's per-phase updates allocate
+    nothing. *)
 module Sums : sig
   type t = {
     mutable total_ns : float;
     mutable transport_ns : float;
     mutable execute_ns : float;
-    mutable sexec_ns : float;
     mutable merge_ns : float;
     mutable drain_ns : float;
     mutable absorb_ns : float;
@@ -73,7 +79,6 @@ module Sums : sig
     mutable total_mw : float;
     mutable transport_mw : float;
     mutable execute_mw : float;
-    mutable sexec_mw : float;
     mutable merge_mw : float;
     mutable gc_mw : float;
     mutable book_mw : float;
@@ -101,7 +106,3 @@ val serial_fraction : t -> float
 (** Best-case speedup at [domains] workers under Amdahl's law with the
     measured serial fraction. *)
 val amdahl_speedup : t -> domains:int -> float
-
-(** Phase shares, the serial fraction, and per-phase minor words per
-    step as a JSON object. Wall-clock derived — not byte-deterministic. *)
-val to_json : t -> string

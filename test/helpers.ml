@@ -158,3 +158,10 @@ let gen_schedule rng g ~ops =
     | None -> ()
   done;
   List.rev !schedule
+
+(* One network clock tick, collected: the (destination PE, task) pairs
+   [Network.deliver_into] hands up, in delivery order. *)
+let deliver net ~now =
+  let acc = ref [] in
+  Dgr_sim.Network.deliver_into net ~now ~push:(fun pe _stamp task -> acc := (pe, task) :: !acc);
+  List.rev !acc

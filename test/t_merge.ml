@@ -57,10 +57,11 @@ let test_absorb_associativity () =
 
 (* --- destination-sharded flush -------------------------------------- *)
 
-(* One randomized post schedule, two mailbox sets, two networks: flushing
-   serially (ascending PE, Mailbox.flush) and via the sharded
-   plan/group/finalize path must leave byte-identical networks — same
-   staged entries, same counters, same coalesce callbacks in the same
+(* One randomized post schedule, two networks: the serial flush — rebuilt
+   here as [Network.send] over the schedule's entries, ascending src, post
+   order within one — and the sharded plan/group/finalize path over
+   mailboxes holding the same entries must leave byte-identical networks:
+   same staged entries, same counters, same coalesce callbacks in the same
    order. Duplicated marks exercise in-batch coalescing. *)
 let random_schedule ~pes ~posts seed =
   let rng = Rng.create seed in
@@ -85,21 +86,24 @@ let random_schedule ~pes ~posts seed =
       (src, dst, arrival, task))
 
 let flush_pair ~shards schedule pes =
-  let post_all mbs =
-    List.iter
-      (fun (src, dst, arrival, task) ->
-        Network.Mailbox.post mbs.(src) ~lin:(-1) ~depth:0 ~arrival ~pe:dst task)
-      schedule
-  in
   let fired = ref [] in
   let net = Network.create () in
   Network.set_on_coalesce net (fun ~pe m -> fired := (pe, m) :: !fired);
-  let mbs = Array.init pes (fun src -> Network.Mailbox.create ~src) in
-  post_all mbs;
   (match shards with
-  | None -> Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs
+  | None ->
+    for src = 0 to pes - 1 do
+      List.iter
+        (fun (s, dst, arrival, task) ->
+          if s = src then Network.send ~src ~lin:(-1) ~depth:0 net ~arrival ~pe:dst task)
+        schedule
+    done
   | Some k ->
-    Alcotest.(check bool) "plan accepted" true (Network.flush_shard_plan net mbs);
+    let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
+    List.iter
+      (fun (src, dst, arrival, task) ->
+        Network.Mailbox.post mbs.(src) ~lin:(-1) ~depth:0 ~arrival ~pe:dst task)
+      schedule;
+    Network.flush_shard_plan net mbs;
     for s = 0 to k - 1 do
       Network.flush_shard_group net mbs ~lo:(s * pes / k) ~hi:((s + 1) * pes / k)
     done;
@@ -125,7 +129,14 @@ let test_sharded_flush_equivalence () =
           Alcotest.(check bool) "coalesce callbacks" true (fired_s = fired_p);
           Alcotest.(check bool) "coalescing exercised" true (coal_s > 0))
         [ 1; 2; 4 ])
-    [ 3; 17; 29 ]
+    [ 3; 17; 29 ];
+  (* The plan's precondition: nothing staged since the last tick (a
+     forming frame could match a mailbox entry's key). *)
+  let net = Network.create () in
+  Network.send ~src:0 net ~arrival:4 ~pe:1 (Task.request 3 Demand.Vital);
+  Alcotest.check_raises "plan over a non-empty staged area"
+    (Invalid_argument "Network.flush_shard_plan: staged area not empty") (fun () ->
+      Network.flush_shard_plan net (Array.init pes (fun _ -> Network.Mailbox.create ())))
 
 (* --- empty-step fast path ------------------------------------------- *)
 
@@ -137,14 +148,13 @@ let test_empty_merge_alloc_free () =
   let main_h = Hist.create () and sub_h = Hist.create () in
   let main_m = Metrics.create () and sub_m = Metrics.create () in
   let net = Network.create () in
-  let mbs = Array.init pes (fun src -> Network.Mailbox.create ~src) in
+  let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
   let empty_merge () =
     Hist.absorb ~into:main_h sub_h;
     Metrics.absorb main_m sub_m;
-    if Network.flush_shard_plan net mbs then begin
-      Network.flush_shard_group net mbs ~lo:0 ~hi:pes;
-      Network.flush_shard_finalize net mbs
-    end
+    Network.flush_shard_plan net mbs;
+    Network.flush_shard_group net mbs ~lo:0 ~hi:pes;
+    Network.flush_shard_finalize net mbs
   in
   empty_merge ();
   (* warmed up *)
@@ -164,7 +174,8 @@ let test_empty_merge_alloc_free () =
    option boxes. *)
 let test_mailbox_post_alloc_free () =
   let net = Network.create () in
-  let mb = Network.Mailbox.create ~src:0 in
+  let mbs = Array.init 8 (fun _ -> Network.Mailbox.create ()) in
+  let mb = mbs.(0) in
   let task =
     Task.Reduction (Task.Request { src = Some 1; dst = 2; demand = Demand.Vital; key = 2 })
   in
@@ -175,7 +186,9 @@ let test_mailbox_post_alloc_free () =
     done
   in
   fill ();
-  Network.Mailbox.flush mb net;
+  Network.flush_shard_plan net mbs;
+  Network.flush_shard_group net mbs ~lo:0 ~hi:8;
+  Network.flush_shard_finalize net mbs;
   let w0 = Gc.minor_words () in
   fill ();
   let words = Gc.minor_words () -. w0 in

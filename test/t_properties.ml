@@ -299,8 +299,8 @@ end
 
 let prop_engine_matches_interpreter =
   QCheck.Test.make ~name:"distributed engine = reference interpreter" ~count:60
-    QCheck.(pair (int_bound 100_000) (int_bound 3))
-    (fun (seed, gc_choice) ->
+    QCheck.(triple (int_bound 100_000) (int_bound 3) (int_range 1 4))
+    (fun (seed, gc_choice, domains) ->
       let rng = Rng.create seed in
       let expr = Gen_prog.gen_int [] rng 4 in
       let lib = Parser.parse_program Gen_prog.lib in
@@ -322,7 +322,7 @@ let prop_engine_matches_interpreter =
           ~num_pes:(1 + (seed mod 7))
           ~gc
           ~speculate_if:(seed land 1 = 0)
-          ()
+          ~domains ()
       in
       let g, templates =
         Compile.load ~num_pes:(Dgr_sim.Engine.Config.num_pes config) program
@@ -330,6 +330,7 @@ let prop_engine_matches_interpreter =
       let e = Dgr_sim.Engine.create ~config g templates in
       Dgr_sim.Engine.inject_root_demand e;
       let (_ : int) = Dgr_sim.Engine.run ~max_steps:400_000 e in
+      Dgr_sim.Engine.dispose e;
       match Dgr_sim.Engine.result e with
       | Some (Label.V_int n) -> n = expected
       | _ -> false)

@@ -176,20 +176,45 @@ let test_division_by_zero_deadlocks () =
     | Some c -> not (Vid.Set.is_empty (Dgr_core.Cycle.deadlocked_ever c))
     | None -> false)
 
-(* The ownership guard under the sharded buffered path: with 4 domains
-   stepping 8 PEs, every edge-set mutation a worker performs must target
-   a vertex homed on the PE it is stepping (vertices born this step are
-   exempt — they cannot be visible to anyone else yet). The heavy-fault
-   invariant runs only ever take the direct path, so this is the test
-   that runs the guard inside worker domains; the run must also agree
-   with the sequential engine field-for-field. *)
+(* The ownership guard on worker domains: with 4 domains stepping 8 PEs,
+   every edge-set mutation a worker performs must target a vertex homed
+   on the PE it is stepping (vertices born this step are exempt — they
+   cannot be visible to anyone else yet). Three machines: the concurrent
+   collector, a lossy channel with PE stalls, and Refcount (whose
+   increments and decrements are logged per PE and applied at the
+   barrier). Each run must also agree with the 1-domain run
+   field-for-field. *)
 let test_sharded_ownership () =
-  let run domains =
-    let config =
-      Engine.Config.make ~num_pes:8 ~domains
-        ~gc:(Engine.Concurrent { deadlock_every = 4; idle_gap = 5 })
-        ()
-    in
+  let lossy =
+    {
+      Faults.none with
+      Faults.drop = 0.05;
+      duplicate = 0.02;
+      delay = 0.05;
+      stall = 0.02;
+      fault_seed = 11;
+    }
+  in
+  let conc = Engine.Concurrent { deadlock_every = 4; idle_gap = 5 } in
+  (* each machine names the evidence that its own plane did work *)
+  let machines =
+    [
+      ("concurrent", conc, Faults.none, fun e -> (Engine.metrics e).Metrics.cycles_completed);
+      ( "lossy + stalls",
+        conc,
+        lossy,
+        fun e -> min (Engine.metrics e).Metrics.stalls (Engine.metrics e).Metrics.msgs_dropped );
+      ( "refcount",
+        Engine.Refcount,
+        Faults.none,
+        fun e ->
+          match Engine.refcount e with
+          | Some rc -> Dgr_baseline.Refcount.reclaimed rc
+          | None -> 0 );
+    ]
+  in
+  let run (gc, faults, exercised) domains =
+    let config = Engine.Config.make ~num_pes:8 ~domains ~gc ~faults () in
     let g, templates = Compile.load_string ~num_pes:8 (Prelude.fib 10) in
     let e = Engine.create ~config g templates in
     Engine.enable_ownership_checks e;
@@ -199,16 +224,22 @@ let test_sharded_ownership () =
     let signature =
       ( Engine.result e,
         Engine.now e,
-        m.Metrics.reduction_executed,
-        m.Metrics.remote_messages )
+        Graph.live_count (Engine.graph e),
+        exercised e,
+        Metrics.to_json m )
     in
     Engine.dispose e;
     signature
   in
-  let seq = run 1 and par = run 4 in
-  Alcotest.(check bool) "result delivered" true
-    (match seq with Some (Label.V_int _), _, _, _ -> true | _ -> false);
-  Alcotest.(check bool) "sharded run identical to sequential" true (seq = par)
+  List.iter
+    (fun (name, gc, faults, exercised) ->
+      let ((result, _, _, work, _) as seq) = run (gc, faults, exercised) 1 in
+      let par = run (gc, faults, exercised) 4 in
+      Alcotest.(check bool) (name ^ ": result delivered") true
+        (match result with Some (Label.V_int 55) -> true | _ -> false);
+      Alcotest.(check bool) (name ^ ": plane exercised") true (work > 0);
+      Alcotest.(check bool) (name ^ ": 4 domains identical to 1") true (seq = par))
+    machines
 
 let test_determinism () =
   let run () =

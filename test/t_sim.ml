@@ -124,9 +124,9 @@ let test_network_ordering () =
   Network.send net ~arrival:3 ~pe:1 t2;
   Network.send net ~arrival:5 ~pe:0 t3;
   Alcotest.(check int) "in flight" 3 (Network.size net);
-  Alcotest.(check bool) "nothing before time" true (Network.deliver net ~now:2 = []);
+  Alcotest.(check bool) "nothing before time" true (Helpers.deliver net ~now:2 = []);
   Alcotest.(check bool) "delivers by arrival then send order" true
-    (Network.deliver net ~now:5 = [ (1, t2); (0, t1); (0, t3) ]);
+    (Helpers.deliver net ~now:5 = [ (1, t2); (0, t1); (0, t3) ]);
   Alcotest.(check int) "drained" 0 (Network.size net)
 
 let test_network_purge () =
